@@ -102,14 +102,15 @@ std::vector<HpcEvent> SimulatedPmu::supported_events() const {
 
 bool SimulatedPmu::set_measurement_key(std::uint64_t key) {
   measurement_key_ = key;
+  has_measurement_key_ = true;
   return true;
 }
 
 void SimulatedPmu::start() {
-  if (measurement_key_) {
-    noise_rng_ = util::Rng(util::mix64(config_.noise_seed, *measurement_key_));
+  if (has_measurement_key_) {
+    noise_rng_ = util::Rng(util::mix64(config_.noise_seed, measurement_key_));
     pollution_rng_ = util::Rng(
-        util::mix64(config_.noise_seed ^ 0x901155ULL, *measurement_key_));
+        util::mix64(config_.noise_seed ^ 0x901155ULL, measurement_key_));
   }
   running_ = true;
   loads_ = 0;
@@ -126,7 +127,7 @@ void SimulatedPmu::start() {
     // A cold start is a fresh process image: the OS hands out frames in
     // first-touch order again.
     page_frames_.clear();
-    next_frame_ = 0;
+    recent_pages_ = {};
   }
 }
 
@@ -137,9 +138,17 @@ std::uintptr_t SimulatedPmu::normalize(const void* addr) {
   if (trusted_canonical_) return raw;  // replay already normalized
   if (!config_.normalize_addresses) return raw;
   const std::uintptr_t page = raw >> kPageBits;
-  auto [it, inserted] = page_frames_.try_emplace(page, next_frame_);
-  if (inserted) ++next_frame_;
-  return kNormalizedBase + (it->second << kPageBits) +
+  // Nearly all accesses fall in one of the last two pages translated, so
+  // the hash lookup runs only on a miss in the two-entry memo.
+  const PageFrame* frame = recent_pages_[0];
+  if (frame == nullptr || frame->first != page) {
+    frame = recent_pages_[1];
+    if (frame == nullptr || frame->first != page)
+      frame = &*page_frames_.try_emplace(page, page_frames_.size()).first;
+    recent_pages_[1] = recent_pages_[0];
+    recent_pages_[0] = frame;
+  }
+  return kNormalizedBase + (frame->second << kPageBits) +
          (raw & kPageOffsetMask);
 }
 

@@ -18,7 +18,7 @@
 
 #include <array>
 #include <memory>
-#include <optional>
+#include <utility>
 #include <unordered_map>
 
 #include "hpc/counter_provider.hpp"
@@ -58,11 +58,16 @@ struct SimulatedPmuConfig {
   /// Canonical first-touch page mapping: each distinct 4 KiB page of the
   /// traced addresses is assigned a frame in first-touch order, mimicking
   /// an OS physical allocator handing a fresh process consecutive frames
-  /// (caches below L1 are physically indexed on real parts).  This makes
-  /// the simulated counters a pure function of the access *sequence* —
-  /// independent of ASLR and of heap-layout drift across measurements —
-  /// which is what keeps experiments reproducible.  The mapping resets
-  /// whenever the caches are cold-started.
+  /// (caches below L1 are physically indexed on real parts).  This removes
+  /// page *numbers* — and with them ASLR — from the simulated counters,
+  /// but keeps each address's low 12 bits.  Those offsets are where the
+  /// allocator placed each buffer within its page, so the counters are a
+  /// function of the access sequence *and* of the process's allocation
+  /// history: any allocation of a different size earlier in the process
+  /// can move them.  Growing SimulatedPmu alone by 16 unused bytes is
+  /// enough to change the cache counts of a whole MNIST campaign
+  /// (tests/hpc/footprint_test.cpp pins the footprint for that reason).
+  /// The mapping resets whenever the caches are cold-started.
   bool normalize_addresses = true;
 
   /// If nonzero, evict one random line from every level each time this
@@ -200,15 +205,25 @@ class SimulatedPmu final : public CounterProvider, public uarch::TraceSink {
   std::unique_ptr<uarch::BranchPredictor> predictor_;
   util::Rng noise_rng_;
   util::Rng pollution_rng_;
-  std::optional<std::uint64_t> measurement_key_;
+  /// Valid when has_measurement_key_ is set.  A key plus a flag in the
+  /// bools' padding, rather than std::optional, makes room for
+  /// recent_pages_ within the pinned sizeof (tests/hpc/footprint_test.cpp).
+  std::uint64_t measurement_key_ = 0;
 
   bool running_ = false;
   /// Set while consume() replays a canonical-address trace into a cold
   /// normalized measurement: the addresses already are the normalized
   /// form, so normalize() passes them through untouched.
   bool trusted_canonical_ = false;
+  bool has_measurement_key_ = false;
+  /// Raw page -> frame, numbered in first-touch order, so the next frame
+  /// is page_frames_.size().
+  using PageFrame = std::pair<const std::uintptr_t, std::uintptr_t>;
   std::unordered_map<std::uintptr_t, std::uintptr_t> page_frames_;
-  std::uintptr_t next_frame_ = 0;
+  /// The two most recently translated pages, most recent first; null when
+  /// unset.  Each points at its page_frames_ node, which a rehash does not
+  /// move.  Cleared together with page_frames_.
+  std::array<const PageFrame*, 2> recent_pages_{};
   std::size_t accesses_since_pollution_ = 0;
 
   // Counts accumulated during the active measurement.

@@ -1,5 +1,7 @@
 #include "uarch/cache.hpp"
 
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace sce::uarch {
@@ -42,15 +44,19 @@ CacheLevel::CacheLevel(CacheConfig config, std::uint64_t rng_seed)
   plru_.assign(sets, 0);
 }
 
+// Line and set indices are shifts and masks: line_bytes and the set count
+// are powers of two (checked by the constructor), and plru_ holds one entry
+// per set, so no extra member is needed to cache the geometry.
 std::uintptr_t CacheLevel::line_of(std::uintptr_t address) const {
-  return address / config_.line_bytes;
+  return address >> std::countr_zero(config_.line_bytes);
 }
 
 std::size_t CacheLevel::set_of(std::uintptr_t line) const {
-  return static_cast<std::size_t>(line) & (config_.num_sets() - 1);
+  return static_cast<std::size_t>(line) & (plru_.size() - 1);
 }
 
-void CacheLevel::touch(std::size_t set, std::size_t way) {
+// Inline: access() calls it on every hit, which is nearly every access.
+inline void CacheLevel::touch(std::size_t set, std::size_t way) {
   Way& w = ways_[set * config_.associativity + way];
   switch (config_.policy) {
     case ReplacementPolicy::kLru:

@@ -1,5 +1,7 @@
 #include "uarch/hierarchy.hpp"
 
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace sce::uarch {
@@ -65,12 +67,15 @@ AccessResult MemoryHierarchy::access_line(std::uintptr_t line_addr,
 AccessResult MemoryHierarchy::access(std::uintptr_t addr, std::size_t bytes,
                                      bool is_write) {
   if (bytes == 0) throw InvalidArgument("MemoryHierarchy::access: zero bytes");
-  const std::size_t line = config_.l1d.line_bytes;
-  const std::uintptr_t first = addr / line;
-  const std::uintptr_t last = (addr + bytes - 1) / line;
+  // CacheLevel checks that the L1D line size is a power of two.
+  const int line_shift = std::countr_zero(config_.l1d.line_bytes);
+  const std::uintptr_t first = addr >> line_shift;
+  const std::uintptr_t last = (addr + bytes - 1) >> line_shift;
+  // Kernel accesses are aligned scalars: nearly all stay within one line.
+  if (first == last) return access_line(first << line_shift, is_write);
   AccessResult total;
   for (std::uintptr_t l = first; l <= last; ++l) {
-    const AccessResult r = access_line(l * line, is_write);
+    const AccessResult r = access_line(l << line_shift, is_write);
     total.cycles += r.cycles;
     total.lines_touched += r.lines_touched;
   }

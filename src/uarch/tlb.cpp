@@ -1,5 +1,7 @@
 #include "uarch/tlb.hpp"
 
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace sce::uarch {
@@ -24,7 +26,7 @@ Tlb::Tlb(TlbConfig config, std::uint64_t /*rng_seed*/)
 
 bool Tlb::access(std::uintptr_t address) {
   ++stats_.accesses;
-  const std::uintptr_t page = address / config_.page_bytes;
+  const std::uintptr_t page = address >> std::countr_zero(config_.page_bytes);
   const std::size_t set = static_cast<std::size_t>(page) & (num_sets_ - 1);
   Entry* base = &entries_[set * config_.associativity];
   for (std::size_t i = 0; i < config_.associativity; ++i) {
