@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "util/error.hpp"
@@ -203,6 +204,13 @@ struct PowerCase {
   double delta;
   bool expect_significant;
 };
+
+// Without this, GoogleTest prints the struct as raw bytes, padding included,
+// and the discovered test names change from one build to the next.
+void PrintTo(const PowerCase& c, std::ostream* os) {
+  *os << "delta=" << c.delta
+      << (c.expect_significant ? " significant" : " not-significant");
+}
 
 class WelchPowerSweep : public ::testing::TestWithParam<PowerCase> {};
 
