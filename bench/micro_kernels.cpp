@@ -320,20 +320,13 @@ void report_conv_kernel(util::JsonWriter& json, const char* tag,
   // negatives to zero so the data-dependent zero-skip has work to skip.
   for (float& x : in) x = x < 0.0f ? 0.0f : x;
 
-  nn::kernels::Conv2DShape s;
-  s.in = in.data();
-  s.weights = w.data();
-  s.bias = bias.data();
-  s.out = out.data();
-  s.in_channels = in_c;
-  s.out_channels = out_c;
-  s.kernel = k;
-  s.stride = 1;
-  s.padding = 0;
-  s.in_h = in_hw;
-  s.in_w = in_hw;
-  s.out_h = out_hw;
-  s.out_w = out_hw;
+  const nn::kernels::Conv2DShape s{
+      {in_c, out_c, k, /*stride=*/1, /*padding=*/0, in_hw, in_hw, out_hw,
+       out_hw},
+      in.data(),
+      w.data(),
+      bias.data(),
+      out.data()};
 
   nn::Workspace ws;
   for (const auto mode :
@@ -372,13 +365,8 @@ void report_dense_kernel(util::JsonWriter& json, const char* tag,
   fill_normal(bias, rng);
   for (float& x : in) x = x < 0.0f ? 0.0f : x;  // post-ReLU activations
 
-  nn::kernels::DenseShape s;
-  s.in = in.data();
-  s.weights = w.data();
-  s.bias = bias.data();
-  s.out = out.data();
-  s.in_features = in_f;
-  s.out_features = out_f;
+  const nn::kernels::DenseShape s{
+      {in_f, out_f}, in.data(), w.data(), bias.data(), out.data()};
 
   for (const auto mode :
        {nn::KernelMode::kDataDependent, nn::KernelMode::kConstantFlow}) {

@@ -34,9 +34,10 @@ class Layer;
 
 namespace sce::analysis::symexec {
 
-/// Where a derived leak claim comes from: the model site (file/line into
-/// the symbolic model TU, label naming the mirrored kernel construct)
-/// plus what the engine saw there.
+/// Where a derived leak claim comes from: the branch site (file/line in
+/// the instrumented kernel's own source, or in a fast-path model of
+/// symbolic_models.cpp; label naming the construct) plus what the engine
+/// saw there.
 struct Witness {
   /// "branch-outcomes" | "branch-count" | "address-stream" |
   /// "instruction-count" | "rng".

@@ -24,21 +24,12 @@ void AvgPool2D::forward_into(const Tensor& input, Tensor& output,
   // No data-dependent shortcuts exist; both kernel modes are identical.
   if (input.rank() != 3 || input.dim(1) < window_ || input.dim(2) < window_)
     (void)output_shape(input.shape());  // throws with the full diagnosis
-  const std::size_t out_h = input.dim(1) / window_;
-  const std::size_t out_w = input.dim(2) / window_;
-  if (output.rank() != 3 || output.dim(0) != input.dim(0) ||
-      output.dim(1) != out_h || output.dim(2) != out_w)
-    output.resize({input.dim(0), out_h, out_w});
-
-  kernels::Pool2DShape shape;
-  shape.in = input.data();
-  shape.out = output.data();
-  shape.channels = input.dim(0);
-  shape.in_h = input.dim(1);
-  shape.in_w = input.dim(2);
-  shape.out_h = out_h;
-  shape.out_w = out_w;
-  shape.window = window_;
+  const kernels::Pool2DGeom g = kernels::pool2d_geom(
+      input.dim(0), input.dim(1), input.dim(2), window_);
+  if (output.rank() != 3 || output.dim(0) != g.channels ||
+      output.dim(1) != g.out_h || output.dim(2) != g.out_w)
+    output.resize({g.channels, g.out_h, g.out_w});
+  const kernels::Pool2DShape shape{g, input.data(), output.data()};
 
   if (kernels::select_path(sink, path) == ExecutionPath::kFast)
     kernels::avgpool2d_fast(shape);
@@ -60,15 +51,11 @@ void AvgPool2D::symbolic_forward(kernels::SymbolicExecutor& exec,
                                  const std::vector<std::size_t>& input_shape,
                                  KernelMode /*mode*/,
                                  ExecutionPath path) const {
-  const std::vector<std::size_t> out = output_shape(input_shape);
-  kernels::Pool2DGeom g;
-  g.channels = input_shape[0];
-  g.in_h = input_shape[1];
-  g.in_w = input_shape[2];
-  g.out_h = out[1];
-  g.out_w = out[2];
-  g.window = window_;
-  kernels::avgpool2d_symbolic(g, exec, path);
+  (void)output_shape(input_shape);  // validates
+  kernels::avgpool2d_symbolic(
+      kernels::pool2d_geom(input_shape[0], input_shape[1], input_shape[2],
+                           window_),
+      exec, path);
 }
 
 Tensor AvgPool2D::train_forward(const Tensor& input) {

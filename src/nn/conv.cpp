@@ -70,6 +70,21 @@ void Conv2D::initialize(util::Rng& rng) {
   for (auto& m : momentum_bias_) m = 0.0f;
 }
 
+namespace {
+
+/// The kernels' geometry of `layer` over a validated in_h x in_w input.
+kernels::Conv2DGeom conv_geom(const Conv2D& layer, std::size_t in_h,
+                              std::size_t in_w) {
+  const std::size_t k = layer.kernel_size();
+  const std::size_t stride = layer.stride();
+  const std::size_t pad = layer.padding();
+  return {layer.in_channels(), layer.out_channels(), k, stride, pad,
+          in_h, in_w, (in_h + 2 * pad - k) / stride + 1,
+          (in_w + 2 * pad - k) / stride + 1};
+}
+
+}  // namespace
+
 std::string to_string(ConvAlgorithm algorithm) {
   switch (algorithm) {
     case ConvAlgorithm::kDirect:
@@ -91,28 +106,12 @@ void Conv2D::forward_into(const Tensor& input, Tensor& output,
       input.dim(1) + 2 * padding_ < kernel_ ||
       input.dim(2) + 2 * padding_ < kernel_)
     (void)output_shape(input.shape());  // throws with the full diagnosis
-  const std::size_t out_h =
-      (input.dim(1) + 2 * padding_ - kernel_) / stride_ + 1;
-  const std::size_t out_w =
-      (input.dim(2) + 2 * padding_ - kernel_) / stride_ + 1;
+  const kernels::Conv2DGeom g = conv_geom(*this, input.dim(1), input.dim(2));
   if (output.rank() != 3 || output.dim(0) != out_channels_ ||
-      output.dim(1) != out_h || output.dim(2) != out_w)
-    output.resize({out_channels_, out_h, out_w});
-
-  kernels::Conv2DShape shape;
-  shape.in = input.data();
-  shape.weights = weights_.data();
-  shape.bias = bias_.data();
-  shape.out = output.data();
-  shape.in_channels = in_channels_;
-  shape.out_channels = out_channels_;
-  shape.kernel = kernel_;
-  shape.stride = stride_;
-  shape.padding = padding_;
-  shape.in_h = input.dim(1);
-  shape.in_w = input.dim(2);
-  shape.out_h = out_h;
-  shape.out_w = out_w;
+      output.dim(1) != g.out_h || output.dim(2) != g.out_w)
+    output.resize({out_channels_, g.out_h, g.out_w});
+  const kernels::Conv2DShape shape{g, input.data(), weights_.data(),
+                                   bias_.data(), output.data()};
 
   if (kernels::select_path(sink, path) == ExecutionPath::kFast) {
     kernels::conv2d_fast(shape, workspace, algorithm_, mode);
@@ -160,18 +159,9 @@ LeakageContract Conv2D::fast_leakage_contract(KernelMode /*mode*/) const {
 void Conv2D::symbolic_forward(kernels::SymbolicExecutor& exec,
                               const std::vector<std::size_t>& input_shape,
                               KernelMode mode, ExecutionPath path) const {
-  const std::vector<std::size_t> out = output_shape(input_shape);
-  kernels::Conv2DGeom g;
-  g.in_channels = in_channels_;
-  g.out_channels = out_channels_;
-  g.kernel = kernel_;
-  g.stride = stride_;
-  g.padding = padding_;
-  g.in_h = input_shape[1];
-  g.in_w = input_shape[2];
-  g.out_h = out[1];
-  g.out_w = out[2];
-  kernels::conv2d_symbolic(g, algorithm_, exec, mode, path);
+  (void)output_shape(input_shape);  // validates
+  kernels::conv2d_symbolic(conv_geom(*this, input_shape[1], input_shape[2]),
+                           algorithm_, exec, mode, path);
 }
 
 Tensor Conv2D::train_forward(const Tensor& input) {

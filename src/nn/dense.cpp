@@ -51,13 +51,8 @@ void Dense::forward_into(const Tensor& input, Tensor& output,
     throw InvalidArgument("Dense::forward: input has wrong element count");
   if (output.rank() != 1 || output.dim(0) != out_) output.resize({out_});
 
-  kernels::DenseShape shape;
-  shape.in = input.data();
-  shape.weights = weights_.data();
-  shape.bias = bias_.data();
-  shape.out = output.data();
-  shape.in_features = in_;
-  shape.out_features = out_;
+  const kernels::DenseShape shape{{in_, out_}, input.data(), weights_.data(),
+                                  bias_.data(), output.data()};
 
   if (kernels::select_path(sink, path) == ExecutionPath::kFast)
     kernels::dense_fast(shape, mode);

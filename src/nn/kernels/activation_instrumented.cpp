@@ -1,58 +1,55 @@
-// Instrumented ReLU kernel — moved verbatim from nn/activation.cpp.
+// Instrumented ReLU kernel, written once over an execution domain
+// (domain.hpp) and instantiated for sinks and for the symbolic verifier.
 #include "nn/kernels/activation.hpp"
 
+#include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
-namespace detail {
-// The instrumented loop bodies below were moved verbatim from the layer
-// translation units, where unqualified `detail::` named sce::nn::detail.
-// Re-export the cost-model constants here so the moved text still
-// compiles unchanged inside kernels::detail's enclosing scope.
-using nn::detail::kCompareInstructions;
-using nn::detail::kLoopOverhead;
-using nn::detail::kMacInstructions;
-}  // namespace detail
-
 namespace {
 
-template <typename Sink>
-void forward_kernel(const float* in_data, float* out_data, std::size_t n,
-                    Sink& sink, KernelMode mode) {
-  const std::uintptr_t negative_site = SCE_BRANCH_SITE();
+template <typename D, typename In, typename Out>
+void forward_kernel(D d, In in, Out out, std::size_t n, KernelMode mode) {
+  const KernelSite negative_site = SCE_KERNEL_SITE("relu sign branch (v < 0)");
+  const auto zero = d.constant(0.0f);
 
   for (std::size_t i = 0; i < n; ++i) {
-    const float v = in_data[i];
-    sink.load(&in_data[i], sizeof(float));
+    const auto v = d.load(in, i);
+    const auto negative = d.is_negative(v);
     if (mode == KernelMode::kDataDependent) {
       // `if (v < 0) out = 0; else out = v;` compiled as a branch: whether
-      // it is taken depends on the sign of the activation.
-      const bool negative = v < 0.0f;
-      sink.branch(negative_site, negative);
-      out_data[i] = negative ? 0.0f : v;
-      sink.retire(detail::kLoopOverhead);
+      // it is taken depends on the sign of the activation.  Both
+      // continuations store and retire alike, so only the outcome varies.
+      d.branch(negative_site, negative);
+      d.retire(nn::detail::kLoopOverhead);
     } else {
       // Branchless maxss(v, 0).
-      out_data[i] = v < 0.0f ? 0.0f : v;
-      sink.retire(detail::kLoopOverhead + 1);
+      d.retire(nn::detail::kLoopOverhead + 1);
     }
-    sink.store(&out_data[i], sizeof(float));
+    d.store(out, i, d.select(negative, zero, v));
   }
-  sink.structural_branches(n);
+  d.structural_branches(n);
 }
 
 }  // namespace
 
 void relu_instrumented(const float* in, float* out, std::size_t n,
                        uarch::TraceSink& sink, KernelMode mode) {
-  forward_kernel(in, out, n, sink, mode);
+  forward_kernel(ConcreteDomain(sink), in, out, n, mode);
 }
 
 void relu_scalar(const float* in, float* out, std::size_t n,
                  KernelMode mode) {
   uarch::DiscardSink sink;
-  forward_kernel(in, out, n, sink, mode);
+  forward_kernel(ConcreteDomain(sink), in, out, n, mode);
+}
+
+void relu_instrumented(std::size_t n, SymbolicExecutor& exec,
+                       KernelMode mode) {
+  const SymBuffer in = exec.input_buffer();
+  const SymBuffer out = exec.output_buffer(n);
+  forward_kernel(SymbolicDomain(exec), in, out, n, mode);
 }
 
 namespace {

@@ -1,12 +1,13 @@
 // Conv2D kernel family: (algorithm × KernelMode × ExecutionPath).
 //
-// The instrumented implementations are the bodies that lived inline in
-// nn/conv.cpp, moved here verbatim — their Sink-emitting loops are the
-// leakage ground truth the trace oracle cross-validates, so their
-// structure (loop order, per-event formulas, branch sites) must not
-// drift.  The fast implementation lowers both algorithms onto one
-// transposed-im2col + register-tiled GEMM whose per-output accumulation
-// order is pinned to the instrumented loops (see conv2d_fast.cpp).
+// The instrumented implementations are the leakage ground truth: the
+// trace oracle cross-validates their sink events and the symbolic
+// verifier derives contracts from the same templates, so their structure
+// (loop order, per-event formulas, branch sites) is pinned by golden
+// event-stream digests.  The fast implementation lowers both algorithms
+// onto one transposed-im2col + register-tiled GEMM whose per-output
+// accumulation order is pinned to the instrumented loops (see
+// conv2d_fast.cpp).
 #pragma once
 
 #include <cstddef>
@@ -22,14 +23,9 @@ enum class ConvAlgorithm;
 
 namespace sce::nn::kernels {
 
-/// Everything a convolution kernel needs, precomputed by the layer.
-/// Weights are {out_channels, in_channels, kernel, kernel} flattened;
-/// input is CHW; output is {out_channels, out_h, out_w}.
-struct Conv2DShape {
-  const float* in = nullptr;
-  const float* weights = nullptr;
-  const float* bias = nullptr;
-  float* out = nullptr;
+/// Square kernel, stride and implicit zero padding; output dims are
+/// (in + 2 * padding - kernel) / stride + 1.
+struct Conv2DGeom {
   std::size_t in_channels = 0;
   std::size_t out_channels = 0;
   std::size_t kernel = 0;
@@ -39,6 +35,17 @@ struct Conv2DShape {
   std::size_t in_w = 0;
   std::size_t out_h = 0;
   std::size_t out_w = 0;
+};
+
+/// Everything a convolution kernel needs, precomputed by the layer.
+/// Weights are {out_channels, in_channels, kernel, kernel} flattened;
+/// input is CHW; output is {out_channels, out_h, out_w}.
+struct Conv2DShape {
+  Conv2DGeom geom;
+  const float* in = nullptr;
+  const float* weights = nullptr;
+  const float* bias = nullptr;
+  float* out = nullptr;
 };
 
 /// Instrumented direct loop nest, virtual-sink instantiation.

@@ -41,38 +41,39 @@ enum class Gemm { kDense, kSkipZero, kMaskValid };
 /// instrumented im2col phase would store row-major).
 void fill_patches_transposed(const Conv2DShape& s, float* pt,
                              std::size_t pixels) {
-  const bool contiguous = s.stride == 1 && s.padding == 0;
+  const Conv2DGeom& g = s.geom;
+  const bool contiguous = g.stride == 1 && g.padding == 0;
   std::size_t j = 0;
-  for (std::size_t ic = 0; ic < s.in_channels; ++ic) {
-    for (std::size_t ky = 0; ky < s.kernel; ++ky) {
-      for (std::size_t kx = 0; kx < s.kernel; ++kx, ++j) {
+  for (std::size_t ic = 0; ic < g.in_channels; ++ic) {
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, ++j) {
         float* row = &pt[j * pixels];
         if (contiguous) {
           // Valid convolution, unit stride: each output row is a
           // contiguous slice of the input row.
-          for (std::size_t oy = 0; oy < s.out_h; ++oy)
-            std::memcpy(&row[oy * s.out_w],
-                        &s.in[(ic * s.in_h + oy + ky) * s.in_w + kx],
-                        s.out_w * sizeof(float));
+          for (std::size_t oy = 0; oy < g.out_h; ++oy)
+            std::memcpy(&row[oy * g.out_w],
+                        &s.in[(ic * g.in_h + oy + ky) * g.in_w + kx],
+                        g.out_w * sizeof(float));
           continue;
         }
-        for (std::size_t oy = 0; oy < s.out_h; ++oy) {
+        for (std::size_t oy = 0; oy < g.out_h; ++oy) {
           const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * s.stride + ky) -
-              static_cast<std::ptrdiff_t>(s.padding);
-          float* out_row = &row[oy * s.out_w];
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(s.in_h)) {
-            for (std::size_t ox = 0; ox < s.out_w; ++ox) out_row[ox] = 0.0f;
+              static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
+              static_cast<std::ptrdiff_t>(g.padding);
+          float* out_row = &row[oy * g.out_w];
+          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) {
+            for (std::size_t ox = 0; ox < g.out_w; ++ox) out_row[ox] = 0.0f;
             continue;
           }
           const float* in_row =
-              &s.in[(ic * s.in_h + static_cast<std::size_t>(iy)) * s.in_w];
-          for (std::size_t ox = 0; ox < s.out_w; ++ox) {
+              &s.in[(ic * g.in_h + static_cast<std::size_t>(iy)) * g.in_w];
+          for (std::size_t ox = 0; ox < g.out_w; ++ox) {
             const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * s.stride + kx) -
-                static_cast<std::ptrdiff_t>(s.padding);
+                static_cast<std::ptrdiff_t>(ox * g.stride + kx) -
+                static_cast<std::ptrdiff_t>(g.padding);
             out_row[ox] =
-                (ix >= 0 && ix < static_cast<std::ptrdiff_t>(s.in_w))
+                (ix >= 0 && ix < static_cast<std::ptrdiff_t>(g.in_w))
                     ? in_row[static_cast<std::size_t>(ix)]
                     : 0.0f;
           }
@@ -85,23 +86,24 @@ void fill_patches_transposed(const Conv2DShape& s, float* pt,
 /// Validity mask Vt[kernel*kernel][pixels] (1.0 in-bounds, 0.0 padding),
 /// shared across input channels.
 void fill_validity(const Conv2DShape& s, float* vt, std::size_t pixels) {
+  const Conv2DGeom& g = s.geom;
   std::size_t kk = 0;
-  for (std::size_t ky = 0; ky < s.kernel; ++ky) {
-    for (std::size_t kx = 0; kx < s.kernel; ++kx, ++kk) {
+  for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+    for (std::size_t kx = 0; kx < g.kernel; ++kx, ++kk) {
       float* row = &vt[kk * pixels];
-      for (std::size_t oy = 0; oy < s.out_h; ++oy) {
+      for (std::size_t oy = 0; oy < g.out_h; ++oy) {
         const std::ptrdiff_t iy =
-            static_cast<std::ptrdiff_t>(oy * s.stride + ky) -
-            static_cast<std::ptrdiff_t>(s.padding);
+            static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
+            static_cast<std::ptrdiff_t>(g.padding);
         const bool y_ok =
-            iy >= 0 && iy < static_cast<std::ptrdiff_t>(s.in_h);
-        for (std::size_t ox = 0; ox < s.out_w; ++ox) {
+            iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
+        for (std::size_t ox = 0; ox < g.out_w; ++ox) {
           const std::ptrdiff_t ix =
-              static_cast<std::ptrdiff_t>(ox * s.stride + kx) -
-              static_cast<std::ptrdiff_t>(s.padding);
+              static_cast<std::ptrdiff_t>(ox * g.stride + kx) -
+              static_cast<std::ptrdiff_t>(g.padding);
           const bool ok =
-              y_ok && ix >= 0 && ix < static_cast<std::ptrdiff_t>(s.in_w);
-          row[oy * s.out_w + ox] = ok ? 1.0f : 0.0f;
+              y_ok && ix >= 0 && ix < static_cast<std::ptrdiff_t>(g.in_w);
+          row[oy * g.out_w + ox] = ok ? 1.0f : 0.0f;
         }
       }
     }
@@ -165,10 +167,11 @@ void gemm_tile(const Conv2DShape& s, const float* pt, const float* vt,
 template <Gemm policy>
 void gemm(const Conv2DShape& s, const float* pt, const float* vt,
           std::size_t pixels, std::size_t patch_len, std::size_t k2) {
+  const Conv2DGeom& g = s.geom;
   std::size_t oc0 = 0;
-  for (; oc0 + 4 <= s.out_channels; oc0 += 4)
+  for (; oc0 + 4 <= g.out_channels; oc0 += 4)
     gemm_tile<policy, 4>(s, pt, vt, oc0, pixels, patch_len, k2);
-  switch (s.out_channels - oc0) {
+  switch (g.out_channels - oc0) {
     case 3:
       gemm_tile<policy, 3>(s, pt, vt, oc0, pixels, patch_len, k2);
       break;
@@ -187,9 +190,10 @@ void gemm(const Conv2DShape& s, const float* pt, const float* vt,
 
 void conv2d_fast(const Conv2DShape& s, Workspace& workspace,
                  ConvAlgorithm algorithm, KernelMode mode) {
-  const std::size_t pixels = s.out_h * s.out_w;
-  const std::size_t patch_len = s.in_channels * s.kernel * s.kernel;
-  const std::size_t k2 = s.kernel * s.kernel;
+  const Conv2DGeom& g = s.geom;
+  const std::size_t pixels = g.out_h * g.out_w;
+  const std::size_t patch_len = g.in_channels * g.kernel * g.kernel;
+  const std::size_t k2 = g.kernel * g.kernel;
   if (pixels == 0 || patch_len == 0) return;
 
   // Same slot (and element count) as the instrumented im2col scratch,
@@ -204,7 +208,7 @@ void conv2d_fast(const Conv2DShape& s, Workspace& workspace,
     gemm<Gemm::kSkipZero>(s, pt, nullptr, pixels, patch_len, k2);
     return;
   }
-  if (algorithm == ConvAlgorithm::kDirect && s.padding > 0) {
+  if (algorithm == ConvAlgorithm::kDirect && g.padding > 0) {
     // Constant-flow direct never touches padding positions; mask them so
     // a -0.0 accumulator is not perturbed by adding +0.0.
     Tensor& validity = workspace.scratch(1, k2, pixels);

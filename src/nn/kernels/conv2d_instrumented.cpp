@@ -1,201 +1,202 @@
 // Instrumented Conv2D kernels — the leakage ground truth.
 //
-// These loop bodies moved verbatim from nn/conv.cpp: every sink event
-// (loads, the zero-skip branch, retire bookkeeping, structural
-// back-edges) and the loop order are pinned by trace tests and the
-// oracle cross-check.  Each kernel is a template over the sink type; the
-// TraceSink instantiation serves observing sinks, the DiscardSink
-// instantiation compiles the trace calls away and is the scalar path the
-// fast kernels are measured against.
+// Every sink event (loads, the zero-skip branch, retire bookkeeping,
+// structural back-edges) and the loop order are pinned by the golden
+// event-stream test and the oracle cross-check.  Each kernel is one
+// template over an execution domain (domain.hpp): the TraceSink
+// instantiation serves observing sinks, the DiscardSink instantiation is
+// the scalar path the fast kernels are measured against, and the
+// SymbolicDomain instantiation is what the verifier analyzes.
 #include "nn/kernels/conv2d.hpp"
 
+#include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
-namespace detail {
-// The instrumented loop bodies below were moved verbatim from the layer
-// translation units, where unqualified `detail::` named sce::nn::detail.
-// Re-export the cost-model constants here so the moved text still
-// compiles unchanged inside kernels::detail's enclosing scope.
-using nn::detail::kCompareInstructions;
-using nn::detail::kLoopOverhead;
-using nn::detail::kMacInstructions;
-}  // namespace detail
-
 namespace {
 
-template <typename Sink>
-void forward_direct(const Conv2DShape& s, Sink& sink, KernelMode mode) {
-  const std::size_t in_h = s.in_h;
-  const std::size_t in_w = s.in_w;
-  const std::size_t out_h = s.out_h;
-  const std::size_t out_w = s.out_w;
-  const float* in_data = s.in;
-  const float* w_data = s.weights;
-  float* out_data = s.out;
+template <typename D, typename In, typename Out>
+void forward_direct(D d, const Conv2DGeom& g, In in, In weights, In bias,
+                    Out out, KernelMode mode) {
+  const KernelSite zero_skip_site =
+      SCE_KERNEL_SITE("conv2d zero-skip (elides weight load + MAC)");
 
-  const std::uintptr_t zero_skip_site = SCE_BRANCH_SITE();
-
-  for (std::size_t oc = 0; oc < s.out_channels; ++oc) {
-    for (std::size_t oy = 0; oy < out_h; ++oy) {
-      for (std::size_t ox = 0; ox < out_w; ++ox) {
-        float acc = s.bias[oc];
-        sink.load(&s.bias[oc], sizeof(float));
-        for (std::size_t ic = 0; ic < s.in_channels; ++ic) {
-          for (std::size_t ky = 0; ky < s.kernel; ++ky) {
+  for (std::size_t oc = 0; oc < g.out_channels; ++oc) {
+    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
+      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
+        auto acc = d.load(bias, oc);
+        for (std::size_t ic = 0; ic < g.in_channels; ++ic) {
+          for (std::size_t ky = 0; ky < g.kernel; ++ky) {
             const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * s.stride + ky) -
-                static_cast<std::ptrdiff_t>(s.padding);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) continue;
+                static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
+                static_cast<std::ptrdiff_t>(g.padding);
+            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) continue;
             const std::size_t in_row_base =
-                (ic * in_h + static_cast<std::size_t>(iy)) * in_w;
+                (ic * g.in_h + static_cast<std::size_t>(iy)) * g.in_w;
             const std::size_t w_row_base =
-                ((oc * s.in_channels + ic) * s.kernel + ky) * s.kernel;
-            for (std::size_t kx = 0; kx < s.kernel; ++kx) {
+                ((oc * g.in_channels + ic) * g.kernel + ky) * g.kernel;
+            for (std::size_t kx = 0; kx < g.kernel; ++kx) {
               const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * s.stride + kx) -
-                  static_cast<std::ptrdiff_t>(s.padding);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w))
+                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) -
+                  static_cast<std::ptrdiff_t>(g.padding);
+              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.in_w))
                 continue;  // implicit zero padding: nothing loaded
-              const std::size_t in_idx =
-                  in_row_base + static_cast<std::size_t>(ix);
-              const float v = in_data[in_idx];
-              sink.load(&in_data[in_idx], sizeof(float));
+              const auto v =
+                  d.load(in, in_row_base + static_cast<std::size_t>(ix));
+              auto mac = [&] {
+                const auto w = d.load(weights, w_row_base + kx);
+                acc = acc + v * w;
+                d.retire(nn::detail::kMacInstructions +
+                         nn::detail::kLoopOverhead);
+              };
               if (mode == KernelMode::kDataDependent) {
                 // Zero-skipping: a zero activation contributes nothing, so
                 // the weight load and MAC are elided behind a branch.
-                const bool skip = (v == 0.0f);
-                sink.branch(zero_skip_site, skip);
-                if (skip) {
-                  sink.retire(detail::kLoopOverhead);
-                  continue;
-                }
+                d.guarded(
+                    zero_skip_site, d.is_zero(v),
+                    [&] { d.retire(nn::detail::kLoopOverhead); }, mac);
+              } else {
+                mac();
               }
-              const float w = w_data[w_row_base + kx];
-              sink.load(&w_data[w_row_base + kx], sizeof(float));
-              acc += v * w;
-              sink.retire(detail::kMacInstructions + detail::kLoopOverhead);
             }
           }
         }
-        out_data[(oc * out_h + oy) * out_w + ox] = acc;
-        sink.store(&out_data[(oc * out_h + oy) * out_w + ox], sizeof(float));
-        sink.retire(detail::kLoopOverhead);
+        d.store(out, (oc * g.out_h + oy) * g.out_w + ox, acc);
+        d.retire(nn::detail::kLoopOverhead);
         // Loop back-edges for the kx/ky/ic loops of this output pixel.
-        sink.structural_branches(s.in_channels * s.kernel * s.kernel +
-                                 s.in_channels * s.kernel + s.in_channels +
-                                 1);
+        d.structural_branches(g.in_channels * g.kernel * g.kernel +
+                              g.in_channels * g.kernel + g.in_channels + 1);
       }
     }
   }
 }
 
-template <typename Sink>
-void forward_im2col(const Conv2DShape& s, Workspace& workspace, Sink& sink,
-                    KernelMode mode) {
-  const std::size_t in_h = s.in_h;
-  const std::size_t in_w = s.in_w;
-  const std::size_t out_h = s.out_h;
-  const std::size_t out_w = s.out_w;
-  const std::size_t pixels = out_h * out_w;
-  const std::size_t patch_len = s.in_channels * s.kernel * s.kernel;
-  const float* in_data = s.in;
-  const float* w_data = s.weights;
+/// `patches` is the {pixels, patch_len} im2col matrix (workspace
+/// scratch): every element is written in phase 1 before phase 2 reads it.
+template <typename D, typename In, typename Out>
+void forward_im2col(D d, const Conv2DGeom& g, In in, In weights, In bias,
+                    Out patches, Out out, KernelMode mode) {
+  const std::size_t pixels = g.out_h * g.out_w;
+  const std::size_t patch_len = g.in_channels * g.kernel * g.kernel;
 
-  // Phase 1: materialize the patch matrix (the "im2col" buffer).  Every
-  // input element inside a window is loaded and stored once per window it
-  // appears in — the extra memory traffic that distinguishes this
-  // strategy from the direct loop nest.  The buffer is workspace scratch:
-  // after the sizing pass it is reused allocation-free, and every element
-  // is written in this phase before phase 2 reads it.
-  Tensor& patches = workspace.scratch(0, pixels, patch_len);
-  float* patch_data = patches.data();
-  for (std::size_t oy = 0; oy < out_h; ++oy) {
-    for (std::size_t ox = 0; ox < out_w; ++ox) {
-      const std::size_t row = oy * out_w + ox;
+  // Phase 1: materialize the patch matrix.  Every input element inside a
+  // window is loaded and stored once per window it appears in — the
+  // extra memory traffic that distinguishes this strategy from the
+  // direct loop nest.
+  for (std::size_t oy = 0; oy < g.out_h; ++oy) {
+    for (std::size_t ox = 0; ox < g.out_w; ++ox) {
+      const std::size_t row = oy * g.out_w + ox;
       std::size_t column = 0;
-      for (std::size_t ic = 0; ic < s.in_channels; ++ic) {
-        for (std::size_t ky = 0; ky < s.kernel; ++ky) {
-          for (std::size_t kx = 0; kx < s.kernel; ++kx, ++column) {
+      for (std::size_t ic = 0; ic < g.in_channels; ++ic) {
+        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+          for (std::size_t kx = 0; kx < g.kernel; ++kx, ++column) {
             const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * s.stride + ky) -
-                static_cast<std::ptrdiff_t>(s.padding);
+                static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
+                static_cast<std::ptrdiff_t>(g.padding);
             const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * s.stride + kx) -
-                static_cast<std::ptrdiff_t>(s.padding);
-            float v = 0.0f;
-            if (iy >= 0 && iy < static_cast<std::ptrdiff_t>(in_h) &&
-                ix >= 0 && ix < static_cast<std::ptrdiff_t>(in_w)) {
-              const std::size_t in_idx =
-                  (ic * in_h + static_cast<std::size_t>(iy)) * in_w +
-                  static_cast<std::size_t>(ix);
-              v = in_data[in_idx];
-              sink.load(&in_data[in_idx], sizeof(float));
+                static_cast<std::ptrdiff_t>(ox * g.stride + kx) -
+                static_cast<std::ptrdiff_t>(g.padding);
+            typename D::Value v = d.constant(0.0f);
+            if (iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h) &&
+                ix >= 0 && ix < static_cast<std::ptrdiff_t>(g.in_w)) {
+              v = d.load(in, (ic * g.in_h + static_cast<std::size_t>(iy)) *
+                                     g.in_w +
+                                 static_cast<std::size_t>(ix));
             }
-            patch_data[row * patch_len + column] = v;
-            sink.store(&patch_data[row * patch_len + column], sizeof(float));
-            sink.retire(detail::kLoopOverhead);
+            d.store(patches, row * patch_len + column, v);
+            d.retire(nn::detail::kLoopOverhead);
           }
         }
       }
-      sink.structural_branches(patch_len + s.kernel + s.in_channels + 1);
+      d.structural_branches(patch_len + g.kernel + g.in_channels + 1);
     }
   }
 
   // Phase 2: GEMM — output[oc][pixel] = bias[oc] + W[oc][:] . P[pixel][:].
   // Weight rows are exactly the {out, in, k, k} layout flattened.
-  const std::uintptr_t gemm_skip_site = SCE_BRANCH_SITE();
-  float* out_data = s.out;
-  for (std::size_t oc = 0; oc < s.out_channels; ++oc) {
+  const KernelSite gemm_skip_site =
+      SCE_KERNEL_SITE("conv2d im2col GEMM zero-skip");
+  for (std::size_t oc = 0; oc < g.out_channels; ++oc) {
     for (std::size_t pixel = 0; pixel < pixels; ++pixel) {
-      float acc = s.bias[oc];
-      sink.load(&s.bias[oc], sizeof(float));
-      const float* patch_row = &patch_data[pixel * patch_len];
-      const float* weight_row = &w_data[oc * patch_len];
+      auto acc = d.load(bias, oc);
       for (std::size_t j = 0; j < patch_len; ++j) {
-        const float v = patch_row[j];
-        sink.load(&patch_row[j], sizeof(float));
+        const auto v = d.load(patches, pixel * patch_len + j);
+        auto mac = [&] {
+          acc = acc + v * d.load(weights, oc * patch_len + j);
+          d.retire(nn::detail::kMacInstructions + nn::detail::kLoopOverhead);
+        };
         if (mode == KernelMode::kDataDependent) {
-          const bool skip = (v == 0.0f);
-          sink.branch(gemm_skip_site, skip);
-          if (skip) {
-            sink.retire(detail::kLoopOverhead);
-            continue;
-          }
+          d.guarded(
+              gemm_skip_site, d.is_zero(v),
+              [&] { d.retire(nn::detail::kLoopOverhead); }, mac);
+        } else {
+          mac();
         }
-        acc += v * weight_row[j];
-        sink.load(&weight_row[j], sizeof(float));
-        sink.retire(detail::kMacInstructions + detail::kLoopOverhead);
       }
-      out_data[oc * pixels + pixel] = acc;
-      sink.store(&out_data[oc * pixels + pixel], sizeof(float));
-      sink.structural_branches(patch_len + 1);
+      d.store(out, oc * pixels + pixel, acc);
+      d.structural_branches(patch_len + 1);
     }
   }
+}
+
+template <typename Sink>
+void im2col_concrete(const Conv2DShape& s, Workspace& workspace, Sink& sink,
+                     KernelMode mode) {
+  const Conv2DGeom& g = s.geom;
+  float* patches =
+      workspace
+          .scratch(0, g.out_h * g.out_w, g.in_channels * g.kernel * g.kernel)
+          .data();
+  forward_im2col(ConcreteDomain(sink), g, s.in, s.weights, s.bias, patches,
+                 s.out, mode);
 }
 
 }  // namespace
 
 void conv2d_direct_instrumented(const Conv2DShape& s, uarch::TraceSink& sink,
                                 KernelMode mode) {
-  forward_direct(s, sink, mode);
+  forward_direct(ConcreteDomain(sink), s.geom, s.in, s.weights, s.bias, s.out,
+                 mode);
 }
 
 void conv2d_direct_scalar(const Conv2DShape& s, KernelMode mode) {
   uarch::DiscardSink sink;
-  forward_direct(s, sink, mode);
+  forward_direct(ConcreteDomain(sink), s.geom, s.in, s.weights, s.bias, s.out,
+                 mode);
 }
 
 void conv2d_im2col_instrumented(const Conv2DShape& s, Workspace& workspace,
                                 uarch::TraceSink& sink, KernelMode mode) {
-  forward_im2col(s, workspace, sink, mode);
+  im2col_concrete(s, workspace, sink, mode);
 }
 
 void conv2d_im2col_scalar(const Conv2DShape& s, Workspace& workspace,
                           KernelMode mode) {
   uarch::DiscardSink sink;
-  forward_im2col(s, workspace, sink, mode);
+  im2col_concrete(s, workspace, sink, mode);
+}
+
+void conv2d_direct_instrumented(const Conv2DGeom& g, SymbolicExecutor& exec,
+                                KernelMode mode) {
+  const SymBuffer in = exec.input_buffer();
+  const SymBuffer w = exec.param_buffer(
+      "weights", g.out_channels * g.in_channels * g.kernel * g.kernel);
+  const SymBuffer b = exec.param_buffer("bias", g.out_channels);
+  const SymBuffer out = exec.output_buffer(g.out_channels * g.out_h * g.out_w);
+  forward_direct(SymbolicDomain(exec), g, in, w, b, out, mode);
+}
+
+void conv2d_im2col_instrumented(const Conv2DGeom& g, SymbolicExecutor& exec,
+                                KernelMode mode) {
+  const std::size_t pixels = g.out_h * g.out_w;
+  const std::size_t patch_len = g.in_channels * g.kernel * g.kernel;
+  const SymBuffer in = exec.input_buffer();
+  const SymBuffer w = exec.param_buffer("weights", g.out_channels * patch_len);
+  const SymBuffer b = exec.param_buffer("bias", g.out_channels);
+  const SymBuffer patches = exec.scratch_buffer("patches", pixels * patch_len);
+  const SymBuffer out = exec.output_buffer(g.out_channels * pixels);
+  forward_im2col(SymbolicDomain(exec), g, in, w, b, patches, out, mode);
 }
 
 namespace {

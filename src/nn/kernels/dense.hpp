@@ -20,15 +20,19 @@ enum class KernelMode;
 
 namespace sce::nn::kernels {
 
+struct DenseGeom {
+  std::size_t in_features = 0;
+  std::size_t out_features = 0;
+};
+
 /// Weights are {in_features, out_features} flattened (each input owns a
 /// contiguous row); input is a flat vector of in_features.
 struct DenseShape {
+  DenseGeom geom;
   const float* in = nullptr;
   const float* weights = nullptr;
   const float* bias = nullptr;
   float* out = nullptr;
-  std::size_t in_features = 0;
-  std::size_t out_features = 0;
 };
 
 void dense_instrumented(const DenseShape& s, uarch::TraceSink& sink,

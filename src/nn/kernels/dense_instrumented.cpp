@@ -1,75 +1,73 @@
-// Instrumented Dense kernel — moved verbatim from nn/dense.cpp.
+// Instrumented Dense kernel: input-stationary scalar GEMV with the
+// sparse-GEMM row skip, written once over an execution domain
+// (domain.hpp) and instantiated for sinks and for the symbolic verifier.
 #include "nn/kernels/dense.hpp"
 
+#include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
-namespace detail {
-// The instrumented loop bodies below were moved verbatim from the layer
-// translation units, where unqualified `detail::` named sce::nn::detail.
-// Re-export the cost-model constants here so the moved text still
-// compiles unchanged inside kernels::detail's enclosing scope.
-using nn::detail::kCompareInstructions;
-using nn::detail::kLoopOverhead;
-using nn::detail::kMacInstructions;
-}  // namespace detail
-
 namespace {
 
-template <typename Sink>
-void forward_kernel(const DenseShape& s, Sink& sink, KernelMode mode) {
-  const std::size_t in = s.in_features;
-  const std::size_t out = s.out_features;
-  const float* x = s.in;
-  const float* w = s.weights;
-  float* y = s.out;
+template <typename D, typename In, typename Out>
+void forward_kernel(D d, const DenseGeom& g, In x, In weights, In bias, Out y,
+                    KernelMode mode) {
+  const std::size_t in = g.in_features;
+  const std::size_t out = g.out_features;
 
-  const std::uintptr_t row_skip_site = SCE_BRANCH_SITE();
+  const KernelSite row_skip_site =
+      SCE_KERNEL_SITE("dense row-skip (x[i]==0 elides the weight row)");
 
   // Accumulators initialized with the bias vector.
-  for (std::size_t o = 0; o < out; ++o) {
-    y[o] = s.bias[o];
-    sink.load(&s.bias[o], sizeof(float));
-    sink.store(&y[o], sizeof(float));
-  }
-  sink.structural_branches(out);
+  for (std::size_t o = 0; o < out; ++o) d.store(y, o, d.load(bias, o));
+  d.structural_branches(out);
 
   for (std::size_t i = 0; i < in; ++i) {
-    const float v = x[i];
-    sink.load(&x[i], sizeof(float));
+    const auto v = d.load(x, i);
+    auto row = [&] {
+      for (std::size_t o = 0; o < out; ++o) {
+        const auto w = d.load(weights, i * out + o);
+        d.store(y, o, d.value(y, o) + v * w);
+        d.retire(nn::detail::kMacInstructions + nn::detail::kLoopOverhead);
+      }
+      d.structural_branches(out + 1);
+    };
     if (mode == KernelMode::kDataDependent) {
       // Sparse-GEMM row skip: a zero activation's whole weight row is
       // never touched and its inner loop never runs.
-      const bool skip = (v == 0.0f);
-      sink.branch(row_skip_site, skip);
-      if (skip) {
-        sink.retire(detail::kLoopOverhead);
-        continue;
-      }
+      d.guarded(
+          row_skip_site, d.is_zero(v),
+          [&] { d.retire(nn::detail::kLoopOverhead); }, row);
+    } else {
+      row();
     }
-    const float* row = &w[i * out];
-    for (std::size_t o = 0; o < out; ++o) {
-      sink.load(&row[o], sizeof(float));
-      y[o] += v * row[o];
-      sink.store(&y[o], sizeof(float));
-      sink.retire(detail::kMacInstructions + detail::kLoopOverhead);
-    }
-    sink.structural_branches(out + 1);
   }
-  sink.structural_branches(in);
+  d.structural_branches(in);
 }
 
 }  // namespace
 
 void dense_instrumented(const DenseShape& s, uarch::TraceSink& sink,
                         KernelMode mode) {
-  forward_kernel(s, sink, mode);
+  forward_kernel(ConcreteDomain(sink), s.geom, s.in, s.weights, s.bias, s.out,
+                 mode);
 }
 
 void dense_scalar(const DenseShape& s, KernelMode mode) {
   uarch::DiscardSink sink;
-  forward_kernel(s, sink, mode);
+  forward_kernel(ConcreteDomain(sink), s.geom, s.in, s.weights, s.bias, s.out,
+                 mode);
+}
+
+void dense_instrumented(const DenseGeom& g, SymbolicExecutor& exec,
+                        KernelMode mode) {
+  const SymBuffer x = exec.input_buffer();
+  const SymBuffer w =
+      exec.param_buffer("weights", g.in_features * g.out_features);
+  const SymBuffer b = exec.param_buffer("bias", g.out_features);
+  const SymBuffer y = exec.output_buffer(g.out_features);
+  forward_kernel(SymbolicDomain(exec), g, x, w, b, y, mode);
 }
 
 namespace {

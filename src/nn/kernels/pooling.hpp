@@ -21,15 +21,24 @@ namespace sce::nn::kernels {
 
 /// Input is CHW; output is {channels, out_h, out_w} with
 /// out_h = in_h / window, out_w = in_w / window.
-struct Pool2DShape {
-  const float* in = nullptr;
-  float* out = nullptr;
+struct Pool2DGeom {
   std::size_t channels = 0;
   std::size_t in_h = 0;
   std::size_t in_w = 0;
   std::size_t out_h = 0;
   std::size_t out_w = 0;
   std::size_t window = 0;
+};
+
+inline Pool2DGeom pool2d_geom(std::size_t channels, std::size_t in_h,
+                              std::size_t in_w, std::size_t window) {
+  return {channels, in_h, in_w, in_h / window, in_w / window, window};
+}
+
+struct Pool2DShape {
+  Pool2DGeom geom;
+  const float* in = nullptr;
+  float* out = nullptr;
 };
 
 void maxpool2d_instrumented(const Pool2DShape& s, uarch::TraceSink& sink,

@@ -12,38 +12,40 @@
 namespace sce::nn::kernels {
 
 void maxpool2d_fast(const Pool2DShape& s) {
-  for (std::size_t c = 0; c < s.channels; ++c) {
-    for (std::size_t oy = 0; oy < s.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < s.out_w; ++ox) {
+  const Pool2DGeom& g = s.geom;
+  for (std::size_t c = 0; c < g.channels; ++c) {
+    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
+      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
         const std::size_t base =
-            (c * s.in_h + oy * s.window) * s.in_w + ox * s.window;
+            (c * g.in_h + oy * g.window) * g.in_w + ox * g.window;
         float best = s.in[base];
-        for (std::size_t wy = 0; wy < s.window; ++wy) {
-          const float* row = &s.in[base + wy * s.in_w];
-          for (std::size_t wx = wy == 0 ? 1 : 0; wx < s.window; ++wx) {
+        for (std::size_t wy = 0; wy < g.window; ++wy) {
+          const float* row = &s.in[base + wy * g.in_w];
+          for (std::size_t wx = wy == 0 ? 1 : 0; wx < g.window; ++wx) {
             const float v = row[wx];
             best = v > best ? v : best;
           }
         }
-        s.out[(c * s.out_h + oy) * s.out_w + ox] = best;
+        s.out[(c * g.out_h + oy) * g.out_w + ox] = best;
       }
     }
   }
 }
 
 void avgpool2d_fast(const Pool2DShape& s) {
-  const float inv_area = 1.0f / static_cast<float>(s.window * s.window);
-  for (std::size_t c = 0; c < s.channels; ++c) {
-    for (std::size_t oy = 0; oy < s.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < s.out_w; ++ox) {
+  const Pool2DGeom& g = s.geom;
+  const float inv_area = 1.0f / static_cast<float>(g.window * g.window);
+  for (std::size_t c = 0; c < g.channels; ++c) {
+    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
+      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
         const std::size_t base =
-            (c * s.in_h + oy * s.window) * s.in_w + ox * s.window;
+            (c * g.in_h + oy * g.window) * g.in_w + ox * g.window;
         float sum = 0.0f;
-        for (std::size_t wy = 0; wy < s.window; ++wy) {
-          const float* row = &s.in[base + wy * s.in_w];
-          for (std::size_t wx = 0; wx < s.window; ++wx) sum += row[wx];
+        for (std::size_t wy = 0; wy < g.window; ++wy) {
+          const float* row = &s.in[base + wy * g.in_w];
+          for (std::size_t wx = 0; wx < g.window; ++wx) sum += row[wx];
         }
-        s.out[(c * s.out_h + oy) * s.out_w + ox] = sum * inv_area;
+        s.out[(c * g.out_h + oy) * g.out_w + ox] = sum * inv_area;
       }
     }
   }

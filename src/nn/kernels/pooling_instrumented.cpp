@@ -1,96 +1,80 @@
-// Instrumented pooling kernels — moved verbatim from nn/pool.cpp and
-// nn/avgpool.cpp.
+// Instrumented pooling kernels, written once over an execution domain
+// (domain.hpp) and instantiated for sinks and for the symbolic verifier.
 #include "nn/kernels/pooling.hpp"
 
+#include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
-namespace detail {
-// The instrumented loop bodies below were moved verbatim from the layer
-// translation units, where unqualified `detail::` named sce::nn::detail.
-// Re-export the cost-model constants here so the moved text still
-// compiles unchanged inside kernels::detail's enclosing scope.
-using nn::detail::kCompareInstructions;
-using nn::detail::kLoopOverhead;
-using nn::detail::kMacInstructions;
-}  // namespace detail
-
 namespace {
 
-template <typename Sink>
-void maxpool_kernel(const Pool2DShape& s, Sink& sink, KernelMode mode) {
-  const float* in_data = s.in;
-  float* out_data = s.out;
+template <typename D, typename In, typename Out>
+void maxpool_kernel(D d, const Pool2DGeom& g, In in, Out out,
+                    KernelMode mode) {
+  const KernelSite max_update_site =
+      SCE_KERNEL_SITE("maxpool max-update branch");
 
-  const std::uintptr_t max_update_site = SCE_BRANCH_SITE();
-
-  for (std::size_t c = 0; c < s.channels; ++c) {
-    for (std::size_t oy = 0; oy < s.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < s.out_w; ++ox) {
-        float best = 0.0f;
-        bool first = true;
-        for (std::size_t wy = 0; wy < s.window; ++wy) {
-          for (std::size_t wx = 0; wx < s.window; ++wx) {
+  for (std::size_t c = 0; c < g.channels; ++c) {
+    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
+      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
+        typename D::Value best = d.constant(0.0f);
+        bool first = true;  // a loop-position flag: public
+        for (std::size_t wy = 0; wy < g.window; ++wy) {
+          for (std::size_t wx = 0; wx < g.window; ++wx) {
             const std::size_t idx =
-                (c * s.in_h + (oy * s.window + wy)) * s.in_w +
-                (ox * s.window + wx);
-            const float v = in_data[idx];
-            sink.load(&in_data[idx], sizeof(float));
+                (c * g.in_h + (oy * g.window + wy)) * g.in_w +
+                (ox * g.window + wx);
+            const auto v = d.load(in, idx);
             if (first) {
               best = v;
               first = false;
-              sink.retire(detail::kLoopOverhead);
+              d.retire(nn::detail::kLoopOverhead);
               continue;
             }
+            const auto update = d.greater(v, best);
             if (mode == KernelMode::kDataDependent) {
               // Which window element is the max depends on the data; the
-              // update is a real conditional branch.
-              const bool update = v > best;
-              sink.branch(max_update_site, update);
-              if (update) best = v;
-              sink.retire(detail::kCompareInstructions);
+              // update is a real conditional branch guarding only a
+              // register move, so memory and counts stay fixed.
+              d.branch(max_update_site, update);
+              best = d.select(update, v, best);
+              d.retire(nn::detail::kCompareInstructions);
             } else {
               // Branchless max (cmov / maxss).
-              best = v > best ? v : best;
-              sink.retire(detail::kCompareInstructions + 1);
+              best = d.select(update, v, best);
+              d.retire(nn::detail::kCompareInstructions + 1);
             }
           }
         }
-        const std::size_t out_idx = (c * s.out_h + oy) * s.out_w + ox;
-        out_data[out_idx] = best;
-        sink.store(&out_data[out_idx], sizeof(float));
-        sink.structural_branches(s.window * s.window + s.window + 1);
+        d.store(out, (c * g.out_h + oy) * g.out_w + ox, best);
+        d.structural_branches(g.window * g.window + g.window + 1);
       }
     }
   }
 }
 
-template <typename Sink>
-void avgpool_kernel(const Pool2DShape& s, Sink& sink) {
-  const float* in_data = s.in;
-  float* out_data = s.out;
-  const float inv_area = 1.0f / static_cast<float>(s.window * s.window);
+template <typename D, typename In, typename Out>
+void avgpool_kernel(D d, const Pool2DGeom& g, In in, Out out) {
+  const auto inv_area =
+      d.constant(1.0f / static_cast<float>(g.window * g.window));
 
-  for (std::size_t c = 0; c < s.channels; ++c) {
-    for (std::size_t oy = 0; oy < s.out_h; ++oy) {
-      for (std::size_t ox = 0; ox < s.out_w; ++ox) {
-        float sum = 0.0f;
-        for (std::size_t wy = 0; wy < s.window; ++wy) {
-          for (std::size_t wx = 0; wx < s.window; ++wx) {
+  for (std::size_t c = 0; c < g.channels; ++c) {
+    for (std::size_t oy = 0; oy < g.out_h; ++oy) {
+      for (std::size_t ox = 0; ox < g.out_w; ++ox) {
+        typename D::Value sum = d.constant(0.0f);
+        for (std::size_t wy = 0; wy < g.window; ++wy) {
+          for (std::size_t wx = 0; wx < g.window; ++wx) {
             const std::size_t idx =
-                (c * s.in_h + (oy * s.window + wy)) * s.in_w +
-                (ox * s.window + wx);
-            sum += in_data[idx];
-            sink.load(&in_data[idx], sizeof(float));
-            sink.retire(detail::kLoopOverhead + 1);
+                (c * g.in_h + (oy * g.window + wy)) * g.in_w +
+                (ox * g.window + wx);
+            sum = sum + d.load(in, idx);
+            d.retire(nn::detail::kLoopOverhead + 1);
           }
         }
-        const std::size_t out_idx = (c * s.out_h + oy) * s.out_w + ox;
-        out_data[out_idx] = sum * inv_area;
-        sink.store(&out_data[out_idx], sizeof(float));
-        sink.retire(1);
-        sink.structural_branches(s.window * s.window + s.window + 1);
+        d.store(out, (c * g.out_h + oy) * g.out_w + ox, sum * inv_area);
+        d.retire(1);
+        d.structural_branches(g.window * g.window + g.window + 1);
       }
     }
   }
@@ -100,21 +84,34 @@ void avgpool_kernel(const Pool2DShape& s, Sink& sink) {
 
 void maxpool2d_instrumented(const Pool2DShape& s, uarch::TraceSink& sink,
                             KernelMode mode) {
-  maxpool_kernel(s, sink, mode);
+  maxpool_kernel(ConcreteDomain(sink), s.geom, s.in, s.out, mode);
 }
 
 void maxpool2d_scalar(const Pool2DShape& s, KernelMode mode) {
   uarch::DiscardSink sink;
-  maxpool_kernel(s, sink, mode);
+  maxpool_kernel(ConcreteDomain(sink), s.geom, s.in, s.out, mode);
+}
+
+void maxpool2d_instrumented(const Pool2DGeom& g, SymbolicExecutor& exec,
+                            KernelMode mode) {
+  const SymBuffer in = exec.input_buffer();
+  const SymBuffer out = exec.output_buffer(g.channels * g.out_h * g.out_w);
+  maxpool_kernel(SymbolicDomain(exec), g, in, out, mode);
 }
 
 void avgpool2d_instrumented(const Pool2DShape& s, uarch::TraceSink& sink) {
-  avgpool_kernel(s, sink);
+  avgpool_kernel(ConcreteDomain(sink), s.geom, s.in, s.out);
 }
 
 void avgpool2d_scalar(const Pool2DShape& s) {
   uarch::DiscardSink sink;
-  avgpool_kernel(s, sink);
+  avgpool_kernel(ConcreteDomain(sink), s.geom, s.in, s.out);
+}
+
+void avgpool2d_instrumented(const Pool2DGeom& g, SymbolicExecutor& exec) {
+  const SymBuffer in = exec.input_buffer();
+  const SymBuffer out = exec.output_buffer(g.channels * g.out_h * g.out_w);
+  avgpool_kernel(SymbolicDomain(exec), g, in, out);
 }
 
 namespace {

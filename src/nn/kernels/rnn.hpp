@@ -20,19 +20,23 @@ enum class KernelMode;
 
 namespace sce::nn::kernels {
 
+struct RnnGeom {
+  std::size_t t_steps = 0;
+  std::size_t input_dim = 0;
+  std::size_t hidden_dim = 0;
+};
+
 /// `h` is the caller's output tensor, pre-zeroed (h_0 = 0); `acc` is
 /// scratch of hidden_dim floats.  Weights: wx {input_dim, hidden},
 /// wh {hidden, hidden}, both input-stationary rows.
 struct RnnShape {
+  RnnGeom geom;
   const float* in = nullptr;
   const float* wx = nullptr;
   const float* wh = nullptr;
   const float* bias = nullptr;
   float* h = nullptr;
   float* acc = nullptr;
-  std::size_t t_steps = 0;
-  std::size_t input_dim = 0;
-  std::size_t hidden_dim = 0;
 };
 
 void rnn_instrumented(const RnnShape& s, uarch::TraceSink& sink,

@@ -34,13 +34,14 @@ inline void axpy(float* acc, float v, const float* row, std::size_t n) {
 }  // namespace
 
 void rnn_fast(const RnnShape& s, KernelMode mode) {
-  const std::size_t hidden = s.hidden_dim;
+  const RnnGeom& g = s.geom;
+  const std::size_t hidden = g.hidden_dim;
   const bool skip_zero = mode == KernelMode::kDataDependent;
 
-  for (std::size_t t = 0; t < s.t_steps; ++t) {
+  for (std::size_t t = 0; t < g.t_steps; ++t) {
     std::memcpy(s.acc, s.bias, hidden * sizeof(float));
-    const float* xt = &s.in[t * s.input_dim];
-    for (std::size_t i = 0; i < s.input_dim; ++i) {
+    const float* xt = &s.in[t * g.input_dim];
+    for (std::size_t i = 0; i < g.input_dim; ++i) {
       const float v = xt[i];
       if (skip_zero && v == 0.0f) continue;
       axpy(s.acc, v, &s.wx[i * hidden], hidden);

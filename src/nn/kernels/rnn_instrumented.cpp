@@ -1,104 +1,78 @@
-// Instrumented Elman RNN kernel — moved verbatim from nn/rnn.cpp.
+// Instrumented Elman RNN kernel, written once over an execution domain
+// (domain.hpp) and instantiated for sinks and for the symbolic verifier.
+#include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/kernels/rnn.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
-namespace detail {
-// The instrumented loop bodies below were moved verbatim from the layer
-// translation units, where unqualified `detail::` named sce::nn::detail.
-// Re-export the cost-model constants here so the moved text still
-// compiles unchanged inside kernels::detail's enclosing scope.
-using nn::detail::kCompareInstructions;
-using nn::detail::kLoopOverhead;
-using nn::detail::kMacInstructions;
-}  // namespace detail
-
 namespace {
 
-template <typename Sink>
-void forward_kernel(const RnnShape& s, Sink& sink, KernelMode mode) {
-  const std::size_t input_dim = s.input_dim;
-  const std::size_t hidden_dim = s.hidden_dim;
-  const float* x = s.in;
-  const float* wx = s.wx;
-  const float* wh = s.wh;
-  float* h = s.h;
-  float* acc = s.acc;
+template <typename D, typename In, typename Out>
+void forward_kernel(D d, const RnnGeom& g, In x, In wx, In wh, In bias, Out h,
+                    Out acc, KernelMode mode) {
+  const std::size_t hidden_dim = g.hidden_dim;
 
-  const std::uintptr_t input_skip_site = SCE_BRANCH_SITE();
-  const std::uintptr_t hidden_skip_site = SCE_BRANCH_SITE();
-  const std::uintptr_t relu_site = SCE_BRANCH_SITE();
+  const KernelSite input_skip_site =
+      SCE_KERNEL_SITE("rnn input row-skip (x_t[i]==0)");
+  const KernelSite hidden_skip_site =
+      SCE_KERNEL_SITE("rnn hidden row-skip (h[i]==0, ReLU-sparse)");
+  const KernelSite relu_site =
+      SCE_KERNEL_SITE("rnn recurrent ReLU sign branch");
+  const auto zero = d.constant(0.0f);
 
-  for (std::size_t t = 0; t < s.t_steps; ++t) {
+  // acc += W^T v over `dim` rows of `weights`, input-stationary with
+  // zero-skipping rows; `v_at(i)` performs the traced read of v[i].
+  auto axpy_sweep = [&](const KernelSite& site, auto v_at, std::size_t dim,
+                        In weights) {
+    for (std::size_t i = 0; i < dim; ++i) {
+      const auto v = v_at(i);
+      auto row = [&] {
+        for (std::size_t j = 0; j < hidden_dim; ++j) {
+          const auto w = d.load(weights, i * hidden_dim + j);
+          d.store(acc, j, d.value(acc, j) + v * w);
+          d.retire(nn::detail::kMacInstructions + nn::detail::kLoopOverhead);
+        }
+        d.structural_branches(hidden_dim + 1);
+      };
+      if (mode == KernelMode::kDataDependent) {
+        d.guarded(
+            site, d.is_zero(v), [&] { d.retire(nn::detail::kLoopOverhead); },
+            row);
+      } else {
+        row();
+      }
+    }
+    d.structural_branches(dim);
+  };
+
+  for (std::size_t t = 0; t < g.t_steps; ++t) {
     // acc = b
-    for (std::size_t j = 0; j < hidden_dim; ++j) {
-      acc[j] = s.bias[j];
-      sink.load(&s.bias[j], sizeof(float));
-      sink.store(&acc[j], sizeof(float));
-    }
-    sink.structural_branches(hidden_dim);
-    // acc += Wx^T x_t, input-stationary with zero-skipping rows.
-    const float* xt = &x[t * input_dim];
-    for (std::size_t i = 0; i < input_dim; ++i) {
-      const float v = xt[i];
-      sink.load(&xt[i], sizeof(float));
-      if (mode == KernelMode::kDataDependent) {
-        const bool skip = (v == 0.0f);
-        sink.branch(input_skip_site, skip);
-        if (skip) {
-          sink.retire(detail::kLoopOverhead);
-          continue;
-        }
-      }
-      const float* row = &wx[i * hidden_dim];
-      for (std::size_t j = 0; j < hidden_dim; ++j) {
-        sink.load(&row[j], sizeof(float));
-        acc[j] += v * row[j];
-        sink.store(&acc[j], sizeof(float));
-        sink.retire(detail::kMacInstructions + detail::kLoopOverhead);
-      }
-      sink.structural_branches(hidden_dim + 1);
-    }
-    sink.structural_branches(input_dim);
+    for (std::size_t j = 0; j < hidden_dim; ++j)
+      d.store(acc, j, d.load(bias, j));
+    d.structural_branches(hidden_dim);
+    // acc += Wx^T x_t
+    axpy_sweep(
+        input_skip_site,
+        [&](std::size_t i) { return d.load(x, t * g.input_dim + i); },
+        g.input_dim, wx);
     // acc += Wh^T h_{t-1}: ReLU-sparse hidden state skips its rows too.
-    for (std::size_t i = 0; i < hidden_dim; ++i) {
-      const float v = h[i];
-      sink.load(&h[i], sizeof(float));
-      if (mode == KernelMode::kDataDependent) {
-        const bool skip = (v == 0.0f);
-        sink.branch(hidden_skip_site, skip);
-        if (skip) {
-          sink.retire(detail::kLoopOverhead);
-          continue;
-        }
-      }
-      const float* row = &wh[i * hidden_dim];
-      for (std::size_t j = 0; j < hidden_dim; ++j) {
-        sink.load(&row[j], sizeof(float));
-        acc[j] += v * row[j];
-        sink.store(&acc[j], sizeof(float));
-        sink.retire(detail::kMacInstructions + detail::kLoopOverhead);
-      }
-      sink.structural_branches(hidden_dim + 1);
-    }
-    sink.structural_branches(hidden_dim);
+    axpy_sweep(
+        hidden_skip_site, [&](std::size_t i) { return d.load(h, i); },
+        hidden_dim, wh);
     // h = ReLU(acc)
     for (std::size_t j = 0; j < hidden_dim; ++j) {
-      const float v = acc[j];
-      sink.load(&acc[j], sizeof(float));
+      const auto v = d.load(acc, j);
+      const auto negative = d.is_negative(v);
       if (mode == KernelMode::kDataDependent) {
-        const bool negative = v < 0.0f;
-        sink.branch(relu_site, negative);
-        h[j] = negative ? 0.0f : v;
-        sink.retire(detail::kLoopOverhead);
+        d.branch(relu_site, negative);
+        d.retire(nn::detail::kLoopOverhead);
       } else {
-        h[j] = v < 0.0f ? 0.0f : v;
-        sink.retire(detail::kLoopOverhead + 1);
+        d.retire(nn::detail::kLoopOverhead + 1);
       }
-      sink.store(&h[j], sizeof(float));
+      d.store(h, j, d.select(negative, zero, v));
     }
-    sink.structural_branches(hidden_dim + 1);
+    d.structural_branches(hidden_dim + 1);
   }
 }
 
@@ -106,12 +80,26 @@ void forward_kernel(const RnnShape& s, Sink& sink, KernelMode mode) {
 
 void rnn_instrumented(const RnnShape& s, uarch::TraceSink& sink,
                       KernelMode mode) {
-  forward_kernel(s, sink, mode);
+  forward_kernel(ConcreteDomain(sink), s.geom, s.in, s.wx, s.wh, s.bias, s.h,
+                 s.acc, mode);
 }
 
 void rnn_scalar(const RnnShape& s, KernelMode mode) {
   uarch::DiscardSink sink;
-  forward_kernel(s, sink, mode);
+  forward_kernel(ConcreteDomain(sink), s.geom, s.in, s.wx, s.wh, s.bias, s.h,
+                 s.acc, mode);
+}
+
+void rnn_instrumented(const RnnGeom& g, SymbolicExecutor& exec,
+                      KernelMode mode) {
+  const std::size_t hidden = g.hidden_dim;
+  const SymBuffer x = exec.input_buffer();
+  const SymBuffer wx = exec.param_buffer("wx", g.input_dim * hidden);
+  const SymBuffer wh = exec.param_buffer("wh", hidden * hidden);
+  const SymBuffer b = exec.param_buffer("bias", hidden);
+  const SymBuffer h = exec.output_buffer(hidden);  // pre-zeroed h_0
+  const SymBuffer acc = exec.scratch_buffer("acc", hidden);
+  forward_kernel(SymbolicDomain(exec), g, x, wx, wh, b, h, acc, mode);
 }
 
 namespace {

@@ -1,57 +1,54 @@
-// Instrumented softmax kernel — moved verbatim from nn/shape_ops.cpp.
-#include <cmath>
-
+// Instrumented softmax kernel, written once over an execution domain
+// (domain.hpp) and instantiated for sinks and for the symbolic verifier.
+#include "nn/kernels/domain.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/kernels/softmax.hpp"
 #include "nn/layer.hpp"
 
 namespace sce::nn::kernels {
-namespace detail {
-// The instrumented loop bodies below were moved verbatim from the layer
-// translation units, where unqualified `detail::` named sce::nn::detail.
-// Re-export the cost-model constants here so the moved text still
-// compiles unchanged inside kernels::detail's enclosing scope.
-using nn::detail::kCompareInstructions;
-using nn::detail::kLoopOverhead;
-using nn::detail::kMacInstructions;
-}  // namespace detail
-
 namespace {
 
-template <typename Sink>
-void forward_kernel(const float* x, float* y, std::size_t n, Sink& sink) {
-  float max_v = x[0];
+template <typename D, typename In, typename Out>
+void forward_kernel(D d, In x, Out y, std::size_t n) {
+  // The running-max compare compiles to a cmov: no branch event, value
+  // flow only.  x[0] seeds it with an untraced read.
+  auto max_v = d.value(x, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    sink.load(&x[i], sizeof(float));
-    if (x[i] > max_v) max_v = x[i];
-    sink.retire(detail::kCompareInstructions + 1);
+    const auto v = d.load(x, i);
+    max_v = d.select(d.greater(v, max_v), v, max_v);
+    d.retire(nn::detail::kCompareInstructions + 1);
   }
-  float sum = 0.0f;
+  typename D::Value sum = d.constant(0.0f);
   for (std::size_t i = 0; i < n; ++i) {
-    y[i] = std::exp(x[i] - max_v);
-    sum += y[i];
-    sink.store(&y[i], sizeof(float));
+    const auto e = d.exp(d.value(x, i) - max_v);
+    d.store(y, i, e);
+    sum = sum + e;
     // exp() costs ~20 instructions in a vectorized libm.
-    sink.retire(20);
+    d.retire(20);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    y[i] /= sum;
-    sink.store(&y[i], sizeof(float));
-    sink.retire(detail::kLoopOverhead + 1);
+    d.store(y, i, d.value(y, i) / sum);
+    d.retire(nn::detail::kLoopOverhead + 1);
   }
-  sink.structural_branches(3 * n);
+  d.structural_branches(3 * n);
 }
 
 }  // namespace
 
 void softmax_instrumented(const float* in, float* out, std::size_t n,
                           uarch::TraceSink& sink) {
-  forward_kernel(in, out, n, sink);
+  forward_kernel(ConcreteDomain(sink), in, out, n);
 }
 
 void softmax_scalar(const float* in, float* out, std::size_t n) {
   uarch::DiscardSink sink;
-  forward_kernel(in, out, n, sink);
+  forward_kernel(ConcreteDomain(sink), in, out, n);
+}
+
+void softmax_instrumented(std::size_t n, SymbolicExecutor& exec) {
+  const SymBuffer in = exec.input_buffer();
+  const SymBuffer out = exec.output_buffer(n);
+  forward_kernel(SymbolicDomain(exec), in, out, n);
 }
 
 namespace {

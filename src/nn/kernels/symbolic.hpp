@@ -1,27 +1,24 @@
-// Symbolic kernel descriptions: every kernel in this directory, restated
-// as a program over an abstract executor instead of float buffers.
+// Symbolic kernel analysis: the abstract domain every kernel can run
+// over, and the entry points that run each registered kernel through it.
 //
-// The real kernels compute on concrete floats and report their dynamic
-// behaviour to a TraceSink; these models replay the *same loop nests and
-// event sites* against a SymbolicExecutor, whose values carry only a
-// secrecy taint.  Loop trip counts stay concrete (shapes come from the
-// InferencePlan's shape inference), data stays symbolic — so one run of a
-// model covers every input of that shape, and the engine behind the
-// executor (src/analysis/symexec) can decide which trace aspects *can*
-// vary with the secret input.  That derived LeakageContract is compared
-// against the hand-declared one: a lying or stale declaration becomes a
-// static lint failure instead of waiting for the dynamic oracle.
+// Values carry only a secrecy taint; loop trip counts stay concrete
+// (shapes come from the InferencePlan's shape inference), so one run
+// covers every input of that shape, and the engine behind the executor
+// (src/analysis/symexec) decides which trace aspects *can* vary with the
+// secret input.  The derived LeakageContract is compared against the
+// hand-declared one: a lying or stale declaration becomes a static lint
+// failure instead of waiting for the dynamic oracle.
 //
-// Two fidelity conventions, one per execution path:
-//  * Instrumented models mirror the kernel's *emitted sink events*
-//    exactly (same sites, same loop structure, same guarded regions).
-//    The dynamic trace oracle validates this mirror end to end: derived
-//    claims must match what RecordingSink probes actually observe.
-//  * Fast models mirror the *source structure of the generated code*
-//    (a lane blend is branchless; a scalar row-skip is a real branch; a
-//    source loop inside a skipped region counts as structural branches
-//    even if the compiler unrolls it — conservative in the direction
-//    that never hides a leak).
+// Two sources, one per execution path:
+//  * Instrumented: the kernels themselves.  Each *_instrumented.cpp
+//    template runs over SymbolicDomain (domain.hpp), so the analysis sees
+//    the shipped loop nest, event for event, and the dynamic trace oracle
+//    checks the same code end to end.
+//  * Fast: hand-written models in symbolic_models.cpp that mirror the
+//    source structure of the SIMD code (a lane blend is branchless; a
+//    scalar row-skip is a real branch; a source loop inside a skipped
+//    region counts as structural branches even if the compiler unrolls
+//    it — conservative in the direction that never hides a leak).
 #pragma once
 
 #include <cstddef>
@@ -31,7 +28,11 @@
 #include <string>
 #include <vector>
 
+#include "nn/kernels/conv2d.hpp"
+#include "nn/kernels/dense.hpp"
 #include "nn/kernels/execution_path.hpp"
+#include "nn/kernels/pooling.hpp"
+#include "nn/kernels/rnn.hpp"
 
 namespace sce::nn {
 enum class KernelMode;
@@ -64,15 +65,22 @@ inline SymValue join(SymValue a, SymValue b, SymValue c) {
   return join(join(a, b), c);
 }
 
+/// Arithmetic in the symbolic domain: a result is as secret as any of
+/// its operands.
+inline SymValue operator+(SymValue a, SymValue b) { return join(a, b); }
+inline SymValue operator-(SymValue a, SymValue b) { return join(a, b); }
+inline SymValue operator*(SymValue a, SymValue b) { return join(a, b); }
+inline SymValue operator/(SymValue a, SymValue b) { return join(a, b); }
+
 /// Engine-issued handle to a symbolic tensor (per-element taints).
 struct SymBuffer {
   std::size_t id = 0;
 };
 
-/// Source location of a leak-relevant construct inside a symbolic model.
-/// The file/line point into the model translation unit; the label names
-/// the mirrored kernel construct (e.g. "dense row-skip (x[i]==0)"), so a
-/// witness survives even when the model and kernel files diverge.
+/// Source location of a leak-relevant construct: a branch site of an
+/// instrumented kernel, or of a fast-path model.  The label names the
+/// construct (e.g. "dense row-skip (x[i]==0)") so a witness stays
+/// readable when lines move.
 struct SymSite {
   const char* file = "";
   int line = 0;
@@ -82,13 +90,13 @@ struct SymSite {
 #define SCE_SYM_SITE(label) \
   (::sce::nn::kernels::SymSite{__FILE__, __LINE__, (label)})
 
-/// The abstract machine a symbolic kernel model runs against.  Mirrors
+/// The abstract machine a symbolic kernel runs against.  Mirrors
 /// the TraceSink event vocabulary (load/store/branch/retire/structural)
 /// plus the control construct the sink cannot express: a region whose
 /// *execution* depends on a predicate (`if_else`), which is what turns
 /// value taint into count/address variance.
 ///
-/// Contract for model authors:
+/// Contract for kernel and model authors:
 ///  * Use `load`/`store` for accesses the real kernel performs (traced
 ///    or machine-level), `value`/`assign` for taint bookkeeping with no
 ///    memory traffic (views, register copies).
@@ -148,44 +156,10 @@ class SymbolicExecutor {
   virtual void unmodeled(const char* why) = 0;
 };
 
-/// Per-op geometry, mirroring the pointerless half of the kernel shape
-/// structs.  Layers fill these exactly the way forward_into fills
-/// Conv2DShape/DenseShape/....
-struct DenseGeom {
-  std::size_t in_features = 0;
-  std::size_t out_features = 0;
-};
-
-struct Conv2DGeom {
-  std::size_t in_channels = 0;
-  std::size_t out_channels = 0;
-  std::size_t kernel = 0;
-  std::size_t stride = 0;
-  std::size_t padding = 0;
-  std::size_t in_h = 0;
-  std::size_t in_w = 0;
-  std::size_t out_h = 0;
-  std::size_t out_w = 0;
-};
-
-struct Pool2DGeom {
-  std::size_t channels = 0;
-  std::size_t in_h = 0;
-  std::size_t in_w = 0;
-  std::size_t out_h = 0;
-  std::size_t out_w = 0;
-  std::size_t window = 0;
-};
-
-struct RnnGeom {
-  std::size_t t_steps = 0;
-  std::size_t input_dim = 0;
-  std::size_t hidden_dim = 0;
-};
-
-/// Symbolic models, one per registered op, covering both modes and both
-/// paths (the `path` argument selects which implementation's structure
-/// is replayed).  Implemented in symbolic_models.cpp.
+/// Symbolic derivation, one entry per registered op, covering both modes
+/// and both paths: kInstrumented runs the instrumented kernel itself
+/// (declared below), kFast the hand-written model of the SIMD kernel.
+/// Implemented in symbolic_models.cpp.
 void conv2d_symbolic(const Conv2DGeom& g, ConvAlgorithm algorithm,
                      SymbolicExecutor& exec, KernelMode mode,
                      ExecutionPath path);
@@ -201,6 +175,23 @@ void softmax_symbolic(std::size_t n, SymbolicExecutor& exec,
                       ExecutionPath path);
 void rnn_symbolic(const RnnGeom& g, SymbolicExecutor& exec, KernelMode mode,
                   ExecutionPath path);
+
+/// The instrumented kernels instantiated over SymbolicDomain; each is
+/// defined next to its concrete instantiations in *_instrumented.cpp.
+void conv2d_direct_instrumented(const Conv2DGeom& g, SymbolicExecutor& exec,
+                                KernelMode mode);
+void conv2d_im2col_instrumented(const Conv2DGeom& g, SymbolicExecutor& exec,
+                                KernelMode mode);
+void dense_instrumented(const DenseGeom& g, SymbolicExecutor& exec,
+                        KernelMode mode);
+void relu_instrumented(std::size_t n, SymbolicExecutor& exec,
+                       KernelMode mode);
+void maxpool2d_instrumented(const Pool2DGeom& g, SymbolicExecutor& exec,
+                            KernelMode mode);
+void avgpool2d_instrumented(const Pool2DGeom& g, SymbolicExecutor& exec);
+void softmax_instrumented(std::size_t n, SymbolicExecutor& exec);
+void rnn_instrumented(const RnnGeom& g, SymbolicExecutor& exec,
+                      KernelMode mode);
 
 /// Registry of modeled (op, mode, path) cells, self-registered by
 /// symbolic_models.cpp the way kernel TUs register KernelEntries.  The

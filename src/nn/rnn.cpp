@@ -82,16 +82,9 @@ void ElmanRNN::forward_into(const Tensor& input, Tensor& output,
   output.fill(0.0f);
   Tensor& acc = workspace.scratch(0, hidden_dim_);
 
-  kernels::RnnShape shape;
-  shape.in = input.data();
-  shape.wx = wx_.data();
-  shape.wh = wh_.data();
-  shape.bias = bias_.data();
-  shape.h = output.data();
-  shape.acc = acc.data();
-  shape.t_steps = t_steps;
-  shape.input_dim = input_dim_;
-  shape.hidden_dim = hidden_dim_;
+  const kernels::RnnShape shape{{t_steps, input_dim_, hidden_dim_},
+                                input.data(), wx_.data(), wh_.data(),
+                                bias_.data(), output.data(), acc.data()};
 
   if (kernels::select_path(sink, path) == ExecutionPath::kFast)
     kernels::rnn_fast(shape, mode);

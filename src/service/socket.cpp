@@ -164,10 +164,12 @@ UnixSocket UnixListener::accept() {
   }
 }
 
+void UnixListener::shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void UnixListener::close() {
   if (fd_ >= 0) {
-    // shutdown() first so a thread blocked in accept() wakes with an
-    // error instead of waiting for a connection that will never come.
     ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;
@@ -207,6 +209,8 @@ void SocketFrontEnd::serve() {
     drain.swap(connections_);
   }
   for (std::thread& t : drain) t.join();
+  // Only now is no accept() in flight: stop() merely shut the fd down.
+  listener_.close();
 }
 
 void SocketFrontEnd::handle_connection(UnixSocket socket) {
@@ -242,7 +246,9 @@ void SocketFrontEnd::stop() {
     for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   server_.shutdown();
-  listener_.close();
+  // Wake serve()'s accept(); serve() closes the fd itself once it has
+  // left the accept loop, so stop() never writes state accept() reads.
+  listener_.shutdown();
 }
 
 std::string request_reply(UnixSocket& socket, const std::string& request) {

@@ -60,9 +60,15 @@ class UnixListener {
   UnixListener(const UnixListener&) = delete;
   UnixListener& operator=(const UnixListener&) = delete;
 
-  /// Block for the next connection; throws IoError once closed.
+  /// Block for the next connection; throws IoError once shut down or
+  /// closed.
   UnixSocket accept();
-  /// Close the listening fd (unblocks accept) and unlink the path.
+  /// Wake a thread blocked in accept() and make every later accept()
+  /// fail.  Leaves the fd open, so it is safe while accept() runs on
+  /// another thread.
+  void shutdown();
+  /// Close the listening fd and unlink the path.  Not concurrent-safe
+  /// with accept(): call it from the accepting thread, or after it.
   void close();
 
   const std::string& path() const { return path_; }
@@ -75,7 +81,7 @@ class UnixListener {
 /// The service's socket front end: accept loop + per-connection request
 /// threads.  serve() blocks until a client sends the shutdown verb or
 /// stop() is called from another thread; either way it drains connection
-/// threads before returning.
+/// threads, then closes the listener, before returning.
 class SocketFrontEnd {
  public:
   SocketFrontEnd(EvaluationServer& server, const std::string& socket_path);

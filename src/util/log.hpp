@@ -1,9 +1,11 @@
 // Minimal leveled logger used by campaign drivers and backends.
 //
 // Single-process tooling does not need a logging framework; this keeps a
-// global level, writes to stderr, and is safe to call from one thread at a
-// time (all sce drivers are single-threaded by design — the measured
-// workload must not share its core with logging).
+// global level and writes to stderr.  It is safe to call from any thread
+// (campaign shards on the ThreadPool, service executors and connection
+// threads may all log): the level is atomic, and each log_line is a single
+// fprintf, which POSIX stdio performs under the stream's lock, so
+// concurrent lines never interleave within a line.
 #pragma once
 
 #include <sstream>

@@ -28,6 +28,8 @@
 #include "nn/dropout.hpp"
 #include "nn/kernels/registry.hpp"
 #include "nn/kernels/symbolic.hpp"
+#include "nn/pool.hpp"
+#include "nn/rnn.hpp"
 #include "nn/zoo.hpp"
 #include "util/rng.hpp"
 
@@ -493,29 +495,61 @@ TEST(SymbolicDomain, UnmodeledLayerFallsBackToDeclaration) {
 }
 
 // ---------------------------------------------------------------------
-// Witnesses: every derived leak claim names the model site it came from.
+// Witnesses: every derived leak claim on the instrumented path names the
+// branch site in the kernel source that produced it.
 
 TEST(SymbolicWitnesses, DenseWitnessesNameModelSites) {
-  const nn::Dense dense(4, 3);
-  const DerivedContract derived = derive_layer_contract(
-      dense, {4}, KernelMode::kDataDependent, ExecutionPath::kInstrumented);
-  ASSERT_TRUE(derived.modeled);
+  struct Case {
+    std::unique_ptr<nn::Layer> layer;
+    std::vector<std::size_t> input_shape;
+    const char* kernel_file;
+    std::vector<std::string> aspects;
+  };
+  auto conv = [](nn::ConvAlgorithm algorithm) {
+    auto layer = std::make_unique<nn::Conv2D>(2, 3, 3, 1, 1);
+    layer->set_algorithm(algorithm);
+    return layer;
+  };
+  const std::vector<std::string> all_count_aspects = {
+      "branch-outcomes", "branch-count", "address-stream",
+      "instruction-count"};
+  const std::vector<std::string> zero_skip_aspects = {
+      "branch-outcomes", "address-stream", "instruction-count"};
+  std::vector<Case> cases;
+  cases.push_back({std::make_unique<nn::Dense>(4, 3), {4},
+                   "dense_instrumented.cpp", all_count_aspects});
+  cases.push_back({conv(nn::ConvAlgorithm::kDirect), {2, 5, 5},
+                   "conv2d_instrumented.cpp", zero_skip_aspects});
+  cases.push_back({conv(nn::ConvAlgorithm::kIm2col), {2, 5, 5},
+                   "conv2d_instrumented.cpp", zero_skip_aspects});
+  cases.push_back({std::make_unique<nn::ReLU>(), {6},
+                   "activation_instrumented.cpp", {"branch-outcomes"}});
+  cases.push_back({std::make_unique<nn::MaxPool2D>(2), {2, 4, 4},
+                   "pooling_instrumented.cpp", {"branch-outcomes"}});
+  cases.push_back({std::make_unique<nn::ElmanRNN>(3, 4), {2, 3},
+                   "rnn_instrumented.cpp", all_count_aspects});
 
-  std::vector<std::string> aspects;
-  for (const Witness& w : derived.witnesses) {
-    aspects.push_back(w.aspect);
-    EXPECT_FALSE(w.file.empty()) << w.aspect;
-    EXPECT_GT(w.line, 0) << w.aspect;
-    EXPECT_FALSE(w.label.empty()) << w.aspect;
-    EXPECT_FALSE(w.detail.empty()) << w.aspect;
-    EXPECT_NE(w.file.find("symbolic_models.cpp"), std::string::npos)
-        << w.file;
-  }
-  for (const char* aspect : {"branch-outcomes", "branch-count",
-                             "address-stream", "instruction-count"}) {
-    EXPECT_NE(std::find(aspects.begin(), aspects.end(), aspect),
-              aspects.end())
-        << "missing witness aspect " << aspect;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.layer->name() + " / " + c.kernel_file);
+    const DerivedContract derived =
+        derive_layer_contract(*c.layer, c.input_shape,
+                              KernelMode::kDataDependent,
+                              ExecutionPath::kInstrumented);
+    ASSERT_TRUE(derived.modeled);
+
+    std::vector<std::string> aspects;
+    for (const Witness& w : derived.witnesses) {
+      aspects.push_back(w.aspect);
+      EXPECT_FALSE(w.file.empty()) << w.aspect;
+      EXPECT_GT(w.line, 0) << w.aspect;
+      EXPECT_FALSE(w.label.empty()) << w.aspect;
+      EXPECT_FALSE(w.detail.empty()) << w.aspect;
+      EXPECT_NE(w.file.find(c.kernel_file), std::string::npos) << w.file;
+    }
+    std::sort(aspects.begin(), aspects.end());
+    std::vector<std::string> expected = c.aspects;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(aspects, expected);
   }
 }
 

@@ -10,9 +10,10 @@
 # build-dir: plain (uninstrumented) build directory, default build-ci.
 # The sanitized passes reuse tools/run_sanitized_tests.sh with their own
 # trees (build-ci-sanitize, build-ci-tsan) so instrumented and plain
-# objects never mix.  The TSan pass covers the sharded campaign runtime
-# (thread pool, parallel acquisition, parallel fixed-vs-random) — the
-# only code that runs on more than one thread.
+# objects never mix.  The TSan pass covers the code that runs on more
+# than one thread: the sharded campaign runtime (thread pool, parallel
+# acquisition, parallel fixed-vs-random) and the service's socket front
+# end (accept loop, connection threads, shutdown verb).
 #
 # Set SCE_CI_SKIP_SANITIZERS=1 to run only the plain suite (useful on
 # hosts whose toolchain lacks the sanitizer runtimes).  A toolchain
@@ -146,7 +147,7 @@ else
      cc -fsanitize=thread -x c - -o /dev/null 2>/dev/null; then
     echo "==> running concurrency tests under thread sanitizer"
     "$SRC_DIR/tools/run_sanitized_tests.sh" "thread" "${BUILD_DIR}-tsan" \
-      'ThreadPool|CampaignParallel|FixedVsRandom'
+      'ThreadPool|CampaignParallel|FixedVsRandom|Socket'
   else
     echo "==> toolchain lacks libtsan: skipping TSan stage"
   fi
