@@ -81,7 +81,11 @@ class ConcreteDomain {
   void guarded(const KernelSite& site, bool taken, Then&& then_arm,
                Else&& else_arm) {
     sink_.branch(site.pc, taken);
-    if (taken)
+    // A block-layout choice, not a probability: with the work arm on
+    // the fall-through path, as in a hand-written loop, data-dependent
+    // MNIST through a CountingSink ran ~10% faster (GCC, x86-64).  The
+    // events are the same either way.
+    if (taken) [[unlikely]]
       then_arm();
     else
       else_arm();
