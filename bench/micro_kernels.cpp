@@ -329,10 +329,11 @@ void report_conv_kernel(util::JsonWriter& json, const char* tag,
       out.data()};
 
   nn::Workspace ws;
+  uarch::NullSink discard;  // the instrumented kernel's scalar baseline
   for (const auto mode :
        {nn::KernelMode::kDataDependent, nn::KernelMode::kConstantFlow}) {
-    const double scalar_ns =
-        time_kernel_ns([&] { nn::kernels::conv2d_direct_scalar(s, mode); });
+    const double scalar_ns = time_kernel_ns(
+        [&] { nn::kernels::conv2d_direct_instrumented(s, discard, mode); });
     const double fast_ns = time_kernel_ns([&] {
       nn::kernels::conv2d_fast(s, ws, nn::ConvAlgorithm::kDirect, mode);
     });
@@ -368,10 +369,11 @@ void report_dense_kernel(util::JsonWriter& json, const char* tag,
   const nn::kernels::DenseShape s{
       {in_f, out_f}, in.data(), w.data(), bias.data(), out.data()};
 
+  uarch::NullSink discard;  // the instrumented kernel's scalar baseline
   for (const auto mode :
        {nn::KernelMode::kDataDependent, nn::KernelMode::kConstantFlow}) {
-    const double scalar_ns =
-        time_kernel_ns([&] { nn::kernels::dense_scalar(s, mode); });
+    const double scalar_ns = time_kernel_ns(
+        [&] { nn::kernels::dense_instrumented(s, discard, mode); });
     const double fast_ns =
         time_kernel_ns([&] { nn::kernels::dense_fast(s, mode); });
     const double speedup = fast_ns > 0.0 ? scalar_ns / fast_ns : 0.0;

@@ -34,6 +34,11 @@ void append_events(util::JsonWriter& json, const char* key,
 
 }  // namespace
 
+std::string repo_relative(const std::string& file) {
+  const std::size_t pos = file.rfind("/src/");
+  return pos == std::string::npos ? file : file.substr(pos + 1);
+}
+
 std::string render_text(const AnalysisReport& report) {
   std::string out;
   out += "leakage lint: " + report.model_name + " [" +
@@ -159,7 +164,7 @@ std::string render_json(const AnalysisReport& report) {
       for (const symexec::Witness& w : f.witnesses) {
         json.begin_object();
         json.key("aspect").value(w.aspect);
-        json.key("file").value(w.file);
+        json.key("file").value(repo_relative(w.file));
         json.key("line").value(static_cast<std::int64_t>(w.line));
         json.key("label").value(w.label);
         json.key("detail").value(w.detail);

@@ -14,6 +14,12 @@ std::string render_text(const AnalysisReport& report);
 
 /// Deterministic JSON document (insertion-ordered keys, stable across
 /// runs for identical models) containing everything render_text shows.
+/// Witness files are repo-relative.
 std::string render_json(const AnalysisReport& report);
+
+/// `file` from its last "src/" directory on.  Witness files come from
+/// __FILE__, which is absolute when the build passes absolute paths, so
+/// reports use this form to stay independent of the build host.
+std::string repo_relative(const std::string& file);
 
 }  // namespace sce::analysis

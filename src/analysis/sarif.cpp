@@ -1,5 +1,6 @@
 #include "analysis/sarif.hpp"
 
+#include "analysis/report.hpp"
 #include "analysis/symexec/verifier.hpp"
 #include "util/json.hpp"
 
@@ -19,14 +20,6 @@ const char* severity_level(Severity severity) {
   return "warning";
 }
 
-/// SARIF artifact URIs should be repo-relative so viewers can resolve
-/// them against a checkout; witness files come from __FILE__, which may
-/// be absolute depending on how the build was invoked.
-std::string repo_relative(const std::string& file) {
-  const std::size_t pos = file.rfind("/src/");
-  return pos == std::string::npos ? file : file.substr(pos + 1);
-}
-
 /// Emit one SARIF result.  `witness` may be null (logical location only).
 void append_result(util::JsonWriter& json, const char* rule_id,
                    const char* level, const std::string& message,
@@ -43,6 +36,7 @@ void append_result(util::JsonWriter& json, const char* rule_id,
   if (witness != nullptr && !witness->file.empty()) {
     json.key("physicalLocation").begin_object();
     json.key("artifactLocation").begin_object();
+    // Repo-relative, so viewers can resolve it against a checkout.
     json.key("uri").value(repo_relative(witness->file));
     json.end_object();
     json.key("region").begin_object();

@@ -7,11 +7,7 @@
 namespace sce::hpc {
 
 namespace {
-// Base of the canonical frame space; high enough to never collide with
-// anything meaningful.
-constexpr std::uintptr_t kNormalizedBase = std::uintptr_t{1} << 34;
-constexpr std::uintptr_t kPageBits = 12;  // 4 KiB frames
-constexpr std::uintptr_t kPageOffsetMask = (std::uintptr_t{1} << kPageBits) - 1;
+constexpr std::uint64_t kPollutionSeedSalt = 0x901155ULL;
 }  // namespace
 
 std::array<EnvironmentSpec, kNumEvents>
@@ -90,11 +86,11 @@ void apply_environment(CounterSample& sample,
 }
 
 SimulatedPmu::SimulatedPmu(SimulatedPmuConfig config)
-    : config_(std::move(config)),
-      hierarchy_(config_.hierarchy),
-      predictor_(uarch::make_predictor(config_.predictor)),
-      noise_rng_(config_.noise_seed),
-      pollution_rng_(config_.noise_seed ^ 0x901155ULL) {}
+    : SimulatorSink(config.hierarchy, config.predictor,
+                    config.normalize_addresses, config.pollution_period,
+                    config.noise_seed ^ kPollutionSeedSalt),
+      config_(std::move(config)),
+      noise_rng_(config_.noise_seed) {}
 
 std::vector<HpcEvent> SimulatedPmu::supported_events() const {
   return {all_events().begin(), all_events().end()};
@@ -109,115 +105,20 @@ bool SimulatedPmu::set_measurement_key(std::uint64_t key) {
 void SimulatedPmu::start() {
   if (has_measurement_key_) {
     noise_rng_ = util::Rng(util::mix64(config_.noise_seed, measurement_key_));
-    pollution_rng_ = util::Rng(
-        util::mix64(config_.noise_seed ^ 0x901155ULL, measurement_key_));
+    reseed_pollution(util::mix64(config_.noise_seed ^ kPollutionSeedSalt,
+                                 measurement_key_));
   }
-  running_ = true;
-  loads_ = 0;
-  stores_ = 0;
-  retired_ = 0;
-  structural_branches_ = 0;
-  memory_cycles_ = 0;
-  accesses_since_pollution_ = 0;
-  hierarchy_.reset_stats();
-  predictor_->reset_stats();
-  if (config_.cold_start_per_measurement) {
-    hierarchy_.flush_all();
-    predictor_->flush();
-    // A cold start is a fresh process image: the OS hands out frames in
-    // first-touch order again.
-    page_frames_.clear();
-    recent_pages_ = {};
-  }
+  begin_measurement(config_.cold_start_per_measurement);
 }
 
-void SimulatedPmu::stop() { running_ = false; }
-
-std::uintptr_t SimulatedPmu::normalize(const void* addr) {
-  const auto raw = reinterpret_cast<std::uintptr_t>(addr);
-  if (trusted_canonical_) return raw;  // replay already normalized
-  if (!config_.normalize_addresses) return raw;
-  const std::uintptr_t page = raw >> kPageBits;
-  // Nearly all accesses fall in one of the last two pages translated, so
-  // the hash lookup runs only on a miss in the two-entry memo.
-  const PageFrame* frame = recent_pages_[0];
-  if (frame == nullptr || frame->first != page) {
-    frame = recent_pages_[1];
-    if (frame == nullptr || frame->first != page)
-      frame = &*page_frames_.try_emplace(page, page_frames_.size()).first;
-    recent_pages_[1] = recent_pages_[0];
-    recent_pages_[0] = frame;
-  }
-  return kNormalizedBase + (frame->second << kPageBits) +
-         (raw & kPageOffsetMask);
-}
-
-void SimulatedPmu::data_access(const void* addr, std::size_t bytes,
-                               bool is_write) {
-  if (!running_) return;
-  const auto result = hierarchy_.access(normalize(addr), bytes, is_write);
-  memory_cycles_ += result.cycles;
-  if (config_.pollution_period != 0) {
-    accesses_since_pollution_ += result.lines_touched;
-    while (accesses_since_pollution_ >= config_.pollution_period) {
-      accesses_since_pollution_ -= config_.pollution_period;
-      hierarchy_.pollute(1, pollution_rng_);
-    }
-  }
-}
-
-void SimulatedPmu::load(const void* addr, std::size_t bytes) {
-  if (!running_) return;
-  ++loads_;
-  data_access(addr, bytes, false);
-}
-
-void SimulatedPmu::store(const void* addr, std::size_t bytes) {
-  if (!running_) return;
-  ++stores_;
-  data_access(addr, bytes, true);
-}
-
-void SimulatedPmu::branch(std::uintptr_t pc, bool taken) {
-  if (!running_) return;
-  predictor_->resolve(pc, taken);
-}
-
-void SimulatedPmu::structural_branches(std::uint64_t n) {
-  if (!running_) return;
-  // Loop back-edges: counted as retired branches, predicted perfectly by
-  // any reasonable predictor after the first iteration.
-  structural_branches_ += n;
-}
-
-void SimulatedPmu::retire(std::uint64_t n) {
-  if (!running_) return;
-  retired_ += n;
-}
+void SimulatedPmu::stop() { end_measurement(); }
 
 void SimulatedPmu::consume(const uarch::TraceBuffer& trace,
                            uarch::ReplayClass cls) {
-  if (!running_)
+  if (!measuring())
     throw InvalidArgument(
         "SimulatedPmu::consume: start() the measurement first");
-  // The canonical fast path is valid only when this trace is the first
-  // memory activity of a cold, normalized measurement: its first-touch
-  // ordinals then coincide with what normalize() would assign.
-  const bool canonical = config_.cold_start_per_measurement &&
-                         config_.normalize_addresses && loads_ == 0 &&
-                         stores_ == 0 && page_frames_.empty();
-  if (canonical) {
-    trusted_canonical_ = true;
-    try {
-      trace.replay(*this, cls, uarch::ReplayAddressing::kCanonical);
-    } catch (...) {
-      trusted_canonical_ = false;
-      throw;
-    }
-    trusted_canonical_ = false;
-  } else {
-    trace.replay(*this, cls, uarch::ReplayAddressing::kSessionStable);
-  }
+  replay(trace, cls, config_.cold_start_per_measurement);
 }
 
 CounterSample SimulatedPmu::measure_trace(const uarch::TraceBuffer& trace,
@@ -229,21 +130,11 @@ CounterSample SimulatedPmu::measure_trace(const uarch::TraceBuffer& trace,
 }
 
 CounterSample SimulatedPmu::workload_counts() const {
-  const auto& bp = predictor_->stats();
-  ArchCounts counts;
-  counts.loads = loads_;
-  counts.stores = stores_;
-  counts.retired = retired_;
-  counts.branches = bp.branches + structural_branches_;
-  counts.mispredicts = bp.mispredicts;
-  counts.memory_cycles = memory_cycles_;
-  counts.llc_references = hierarchy_.last_level_references();
-  counts.llc_misses = hierarchy_.last_level_misses();
-  return assemble_workload_counts(config_.core, counts);
+  return assemble_workload_counts(config_.core, arch_counts());
 }
 
 CounterSample SimulatedPmu::read() {
-  if (running_)
+  if (measuring())
     throw InvalidArgument("SimulatedPmu::read: stop() the measurement first");
   CounterSample s = workload_counts();
   apply_environment(s, config_.environment, noise_rng_);

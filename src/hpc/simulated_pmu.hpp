@@ -2,8 +2,9 @@
 //
 // Substitutes for the Intel PMU the paper reads through `perf`: the
 // instrumented CNN kernels stream their dynamic trace into this sink,
-// which drives the cache hierarchy, branch predictor and TLB models and
-// derives the same eight counters `perf stat` reports.
+// whose uarch::SimulatorSink base drives the cache hierarchy, branch
+// predictor and TLB models; this class derives the same eight counters
+// `perf stat` reports from them.
 //
 // An EnvironmentModel adds, per measurement, the contribution of
 // everything the real evaluator cannot separate from the workload —
@@ -17,15 +18,12 @@
 #pragma once
 
 #include <array>
-#include <memory>
-#include <utility>
-#include <unordered_map>
 
 #include "hpc/counter_provider.hpp"
 #include "uarch/branch_predictor.hpp"
 #include "uarch/core_model.hpp"
 #include "uarch/hierarchy.hpp"
-#include "uarch/trace.hpp"
+#include "uarch/simulator_sink.hpp"
 #include "uarch/trace_buffer.hpp"
 #include "util/rng.hpp"
 
@@ -106,19 +104,8 @@ inline bool operator!=(const SimulatedPmuConfig& a,
   return !(a == b);
 }
 
-/// Architectural totals of one measurement, as accumulated by a live
-/// SimulatedPmu or assembled from per-component trace replays.
-struct ArchCounts {
-  std::uint64_t loads = 0;
-  std::uint64_t stores = 0;
-  std::uint64_t retired = 0;
-  /// Conditional + structural branches.
-  std::uint64_t branches = 0;
-  std::uint64_t mispredicts = 0;
-  std::uint64_t memory_cycles = 0;
-  std::uint64_t llc_references = 0;
-  std::uint64_t llc_misses = 0;
-};
+/// Defined next to the simulator that accumulates it.
+using uarch::ArchCounts;
 
 /// The one place the eight perf events are derived from architectural
 /// counts.  SimulatedPmu::workload_counts() routes through this, and the
@@ -136,7 +123,12 @@ void apply_environment(CounterSample& sample,
                        const std::array<EnvironmentSpec, kNumEvents>& specs,
                        util::Rng& rng);
 
-class SimulatedPmu final : public CounterProvider, public uarch::TraceSink {
+/// The counter provider over a uarch::SimulatorSink: the sink half (the
+/// event methods, hierarchy(), predictor(), memory_cycles()) is the live
+/// simulator the kernels write into; this class adds the measurement
+/// protocol, keys and environment noise.
+class SimulatedPmu final : public CounterProvider,
+                           public uarch::SimulatorSink {
  public:
   explicit SimulatedPmu(SimulatedPmuConfig config = {});
 
@@ -153,13 +145,6 @@ class SimulatedPmu final : public CounterProvider, public uarch::TraceSink {
   /// key draws fresh (but still reproducible) noise.
   bool set_measurement_key(std::uint64_t key) override;
 
-  // --- TraceSink (fed by the instrumented kernels) ---
-  void load(const void* addr, std::size_t bytes) override;
-  void store(const void* addr, std::size_t bytes) override;
-  void branch(std::uintptr_t pc, bool taken) override;
-  void structural_branches(std::uint64_t n) override;
-  void retire(std::uint64_t n) override;
-
   /// The trace sink kernels should write into (this object itself).
   uarch::TraceSink& sink() { return *this; }
 
@@ -169,8 +154,8 @@ class SimulatedPmu final : public CounterProvider, public uarch::TraceSink {
   /// running measurement, as if the kernels had streamed it live.  When
   /// this measurement is cold-started with address normalization on — the
   /// reproducibility default — the buffer's canonical addresses are
-  /// exactly what normalize() would produce, so the per-access page hash
-  /// is skipped; otherwise the trace replays in its session-stable
+  /// exactly what normalization would produce, so the per-access page
+  /// lookup is skipped; otherwise the trace replays in its session-stable
   /// address space through the ordinary normalization path.  Either way
   /// the resulting counts are bit-identical to the live run that was
   /// recorded (tests/hpc/replay_test.cpp).  One trace per measurement,
@@ -188,50 +173,14 @@ class SimulatedPmu final : public CounterProvider, public uarch::TraceSink {
   /// environment overlay (for tests and ablations).
   CounterSample workload_counts() const;
 
-  /// Hierarchy latency accumulated by the current/last measurement (the
-  /// memory_cycles input to the core event model); exposed so component
-  /// replays can be composed via assemble_workload_counts.
-  std::uint64_t memory_cycles() const { return memory_cycles_; }
-
-  uarch::MemoryHierarchy& hierarchy() { return hierarchy_; }
-  uarch::BranchPredictor& predictor() { return *predictor_; }
-
  private:
-  std::uintptr_t normalize(const void* addr);
-  void data_access(const void* addr, std::size_t bytes, bool is_write);
-
   SimulatedPmuConfig config_;
-  uarch::MemoryHierarchy hierarchy_;
-  std::unique_ptr<uarch::BranchPredictor> predictor_;
-  util::Rng noise_rng_;
-  util::Rng pollution_rng_;
-  /// Valid when has_measurement_key_ is set.  A key plus a flag in the
-  /// bools' padding, rather than std::optional, makes room for
-  /// recent_pages_ within the pinned sizeof (tests/hpc/footprint_test.cpp).
-  std::uint64_t measurement_key_ = 0;
-
-  bool running_ = false;
-  /// Set while consume() replays a canonical-address trace into a cold
-  /// normalized measurement: the addresses already are the normalized
-  /// form, so normalize() passes them through untouched.
-  bool trusted_canonical_ = false;
+  /// Potentially overlapping so that the flag below sits in its tail
+  /// padding (tests/hpc/footprint_test.cpp pins sizeof).
+  [[no_unique_address]] util::Rng noise_rng_;
+  /// measurement_key_ is valid when set.
   bool has_measurement_key_ = false;
-  /// Raw page -> frame, numbered in first-touch order, so the next frame
-  /// is page_frames_.size().
-  using PageFrame = std::pair<const std::uintptr_t, std::uintptr_t>;
-  std::unordered_map<std::uintptr_t, std::uintptr_t> page_frames_;
-  /// The two most recently translated pages, most recent first; null when
-  /// unset.  Each points at its page_frames_ node, which a rehash does not
-  /// move.  Cleared together with page_frames_.
-  std::array<const PageFrame*, 2> recent_pages_{};
-  std::size_t accesses_since_pollution_ = 0;
-
-  // Counts accumulated during the active measurement.
-  std::uint64_t loads_ = 0;
-  std::uint64_t stores_ = 0;
-  std::uint64_t retired_ = 0;
-  std::uint64_t structural_branches_ = 0;
-  std::uint64_t memory_cycles_ = 0;
+  std::uint64_t measurement_key_ = 0;
 };
 
 }  // namespace sce::hpc

@@ -13,8 +13,6 @@ void ReLU::forward_into(const Tensor& input, Tensor& output,
   const std::size_t n = input.numel();
   if (kernels::select_path(sink, path) == ExecutionPath::kFast)
     kernels::relu_fast(input.data(), output.data(), n);
-  else if (sink.discards())
-    kernels::relu_scalar(input.data(), output.data(), n, mode);
   else
     kernels::relu_instrumented(input.data(), output.data(), n, sink, mode);
 }

@@ -33,8 +33,6 @@ void AvgPool2D::forward_into(const Tensor& input, Tensor& output,
 
   if (kernels::select_path(sink, path) == ExecutionPath::kFast)
     kernels::avgpool2d_fast(shape);
-  else if (sink.discards())
-    kernels::avgpool2d_scalar(shape);
   else
     kernels::avgpool2d_instrumented(shape, sink);
 }

@@ -119,16 +119,10 @@ void Conv2D::forward_into(const Tensor& input, Tensor& output,
   }
   switch (algorithm_) {
     case ConvAlgorithm::kDirect:
-      if (sink.discards())
-        kernels::conv2d_direct_scalar(shape, mode);
-      else
-        kernels::conv2d_direct_instrumented(shape, sink, mode);
+      kernels::conv2d_direct_instrumented(shape, sink, mode);
       return;
     case ConvAlgorithm::kIm2col:
-      if (sink.discards())
-        kernels::conv2d_im2col_scalar(shape, workspace, mode);
-      else
-        kernels::conv2d_im2col_instrumented(shape, workspace, sink, mode);
+      kernels::conv2d_im2col_instrumented(shape, workspace, sink, mode);
       return;
   }
   throw InvalidArgument("Conv2D: unknown algorithm");

@@ -56,8 +56,6 @@ void Dense::forward_into(const Tensor& input, Tensor& output,
 
   if (kernels::select_path(sink, path) == ExecutionPath::kFast)
     kernels::dense_fast(shape, mode);
-  else if (sink.discards())
-    kernels::dense_scalar(shape, mode);
   else
     kernels::dense_instrumented(shape, sink, mode);
 }

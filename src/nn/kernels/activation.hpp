@@ -19,7 +19,6 @@ namespace sce::nn::kernels {
 
 void relu_instrumented(const float* in, float* out, std::size_t n,
                        uarch::TraceSink& sink, KernelMode mode);
-void relu_scalar(const float* in, float* out, std::size_t n, KernelMode mode);
 void relu_fast(const float* in, float* out, std::size_t n);
 
 }  // namespace sce::nn::kernels

@@ -9,9 +9,10 @@
 namespace sce::nn::kernels {
 namespace {
 
+constexpr KernelSite kNegativeSite = SCE_KERNEL_SITE("relu sign branch (v < 0)");
+
 template <typename D, typename In, typename Out>
 void forward_kernel(D d, In in, Out out, std::size_t n, KernelMode mode) {
-  const KernelSite negative_site = SCE_KERNEL_SITE("relu sign branch (v < 0)");
   const auto zero = d.constant(0.0f);
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -21,7 +22,7 @@ void forward_kernel(D d, In in, Out out, std::size_t n, KernelMode mode) {
       // `if (v < 0) out = 0; else out = v;` compiled as a branch: whether
       // it is taken depends on the sign of the activation.  Both
       // continuations store and retire alike, so only the outcome varies.
-      d.branch(negative_site, negative);
+      d.branch(kNegativeSite, negative);
       d.retire(nn::detail::kLoopOverhead);
     } else {
       // Branchless maxss(v, 0).
@@ -36,13 +37,9 @@ void forward_kernel(D d, In in, Out out, std::size_t n, KernelMode mode) {
 
 void relu_instrumented(const float* in, float* out, std::size_t n,
                        uarch::TraceSink& sink, KernelMode mode) {
-  forward_kernel(ConcreteDomain(sink), in, out, n, mode);
-}
-
-void relu_scalar(const float* in, float* out, std::size_t n,
-                 KernelMode mode) {
-  uarch::DiscardSink sink;
-  forward_kernel(ConcreteDomain(sink), in, out, n, mode);
+  with_static_sink(sink, [&](auto& to) {
+    forward_kernel(ConcreteDomain(to), in, out, n, mode);
+  });
 }
 
 void relu_instrumented(std::size_t n, SymbolicExecutor& exec,

@@ -48,18 +48,15 @@ struct Conv2DShape {
   float* out = nullptr;
 };
 
-/// Instrumented direct loop nest, virtual-sink instantiation.
+/// Instrumented direct loop nest.  With a discarding sink (NullSink) the
+/// trace calls compile away and the scalar loop structure stays intact:
+/// the scalar baseline path (kernels/domain.hpp picks the instantiation).
 void conv2d_direct_instrumented(const Conv2DShape& s, uarch::TraceSink& sink,
                                 KernelMode mode);
-/// Same template instantiated over DiscardSink: trace calls compiled
-/// away, scalar loop structure intact — the scalar baseline path.
-void conv2d_direct_scalar(const Conv2DShape& s, KernelMode mode);
 
 /// Instrumented im2col + GEMM (patch matrix in workspace scratch 0).
 void conv2d_im2col_instrumented(const Conv2DShape& s, Workspace& workspace,
                                 uarch::TraceSink& sink, KernelMode mode);
-void conv2d_im2col_scalar(const Conv2DShape& s, Workspace& workspace,
-                          KernelMode mode);
 
 /// Fast path: transposed im2col + 8-pixel × 4-output-channel register
 /// tiled GEMM, bit-identical to the instrumented kernel for the given

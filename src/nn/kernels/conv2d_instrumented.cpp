@@ -3,10 +3,11 @@
 // Every sink event (loads, the zero-skip branch, retire bookkeeping,
 // structural back-edges) and the loop order are pinned by the golden
 // event-stream test and the oracle cross-check.  Each kernel is one
-// template over an execution domain (domain.hpp): the TraceSink
-// instantiation serves observing sinks, the DiscardSink instantiation is
-// the scalar path the fast kernels are measured against, and the
-// SymbolicDomain instantiation is what the verifier analyzes.
+// template over an execution domain (domain.hpp): the concrete
+// instantiations over a TraceSink, the SimulatorSink and a DiscardSink
+// (the scalar path the fast kernels are measured against) serve the
+// sinks, and the SymbolicDomain instantiation is what the verifier
+// analyzes.
 #include "nn/kernels/conv2d.hpp"
 
 #include "nn/kernels/domain.hpp"
@@ -16,12 +17,14 @@
 namespace sce::nn::kernels {
 namespace {
 
+constexpr KernelSite kZeroSkipSite =
+    SCE_KERNEL_SITE("conv2d zero-skip (elides weight load + MAC)");
+constexpr KernelSite kGemmSkipSite =
+    SCE_KERNEL_SITE("conv2d im2col GEMM zero-skip");
+
 template <typename D, typename In, typename Out>
 void forward_direct(D d, const Conv2DGeom& g, In in, In weights, In bias,
                     Out out, KernelMode mode) {
-  const KernelSite zero_skip_site =
-      SCE_KERNEL_SITE("conv2d zero-skip (elides weight load + MAC)");
-
   for (std::size_t oc = 0; oc < g.out_channels; ++oc) {
     for (std::size_t oy = 0; oy < g.out_h; ++oy) {
       for (std::size_t ox = 0; ox < g.out_w; ++ox) {
@@ -54,7 +57,7 @@ void forward_direct(D d, const Conv2DGeom& g, In in, In weights, In bias,
                 // Zero-skipping: a zero activation contributes nothing, so
                 // the weight load and MAC are elided behind a branch.
                 d.guarded(
-                    zero_skip_site, d.is_zero(v),
+                    kZeroSkipSite, d.is_zero(v),
                     [&] { d.retire(nn::detail::kLoopOverhead); }, mac);
               } else {
                 mac();
@@ -115,8 +118,6 @@ void forward_im2col(D d, const Conv2DGeom& g, In in, In weights, In bias,
 
   // Phase 2: GEMM — output[oc][pixel] = bias[oc] + W[oc][:] . P[pixel][:].
   // Weight rows are exactly the {out, in, k, k} layout flattened.
-  const KernelSite gemm_skip_site =
-      SCE_KERNEL_SITE("conv2d im2col GEMM zero-skip");
   for (std::size_t oc = 0; oc < g.out_channels; ++oc) {
     for (std::size_t pixel = 0; pixel < pixels; ++pixel) {
       auto acc = d.load(bias, oc);
@@ -128,7 +129,7 @@ void forward_im2col(D d, const Conv2DGeom& g, In in, In weights, In bias,
         };
         if (mode == KernelMode::kDataDependent) {
           d.guarded(
-              gemm_skip_site, d.is_zero(v),
+              kGemmSkipSite, d.is_zero(v),
               [&] { d.retire(nn::detail::kLoopOverhead); }, mac);
         } else {
           mac();
@@ -140,41 +141,27 @@ void forward_im2col(D d, const Conv2DGeom& g, In in, In weights, In bias,
   }
 }
 
-template <typename Sink>
-void im2col_concrete(const Conv2DShape& s, Workspace& workspace, Sink& sink,
-                     KernelMode mode) {
+}  // namespace
+
+void conv2d_direct_instrumented(const Conv2DShape& s, uarch::TraceSink& sink,
+                                KernelMode mode) {
+  with_static_sink(sink, [&](auto& to) {
+    forward_direct(ConcreteDomain(to), s.geom, s.in, s.weights, s.bias, s.out,
+                   mode);
+  });
+}
+
+void conv2d_im2col_instrumented(const Conv2DShape& s, Workspace& workspace,
+                                uarch::TraceSink& sink, KernelMode mode) {
   const Conv2DGeom& g = s.geom;
   float* patches =
       workspace
           .scratch(0, g.out_h * g.out_w, g.in_channels * g.kernel * g.kernel)
           .data();
-  forward_im2col(ConcreteDomain(sink), g, s.in, s.weights, s.bias, patches,
-                 s.out, mode);
-}
-
-}  // namespace
-
-void conv2d_direct_instrumented(const Conv2DShape& s, uarch::TraceSink& sink,
-                                KernelMode mode) {
-  forward_direct(ConcreteDomain(sink), s.geom, s.in, s.weights, s.bias, s.out,
-                 mode);
-}
-
-void conv2d_direct_scalar(const Conv2DShape& s, KernelMode mode) {
-  uarch::DiscardSink sink;
-  forward_direct(ConcreteDomain(sink), s.geom, s.in, s.weights, s.bias, s.out,
-                 mode);
-}
-
-void conv2d_im2col_instrumented(const Conv2DShape& s, Workspace& workspace,
-                                uarch::TraceSink& sink, KernelMode mode) {
-  im2col_concrete(s, workspace, sink, mode);
-}
-
-void conv2d_im2col_scalar(const Conv2DShape& s, Workspace& workspace,
-                          KernelMode mode) {
-  uarch::DiscardSink sink;
-  im2col_concrete(s, workspace, sink, mode);
+  with_static_sink(sink, [&](auto& to) {
+    forward_im2col(ConcreteDomain(to), g, s.in, s.weights, s.bias, patches,
+                   s.out, mode);
+  });
 }
 
 void conv2d_direct_instrumented(const Conv2DGeom& g, SymbolicExecutor& exec,

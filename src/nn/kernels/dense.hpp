@@ -35,10 +35,10 @@ struct DenseShape {
   float* out = nullptr;
 };
 
+/// The scalar kernel; with a discarding sink (NullSink) it is the scalar
+/// baseline, every trace call compiled away (kernels/domain.hpp).
 void dense_instrumented(const DenseShape& s, uarch::TraceSink& sink,
                         KernelMode mode);
-/// DiscardSink instantiation of the same template — the scalar baseline.
-void dense_scalar(const DenseShape& s, KernelMode mode);
 
 /// Fast path: register-blocked input-stationary GEMV, bit-identical to
 /// the instrumented kernel in both modes.  Note the data-dependent row

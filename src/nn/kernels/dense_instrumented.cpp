@@ -10,14 +10,14 @@
 namespace sce::nn::kernels {
 namespace {
 
+constexpr KernelSite kRowSkipSite =
+    SCE_KERNEL_SITE("dense row-skip (x[i]==0 elides the weight row)");
+
 template <typename D, typename In, typename Out>
 void forward_kernel(D d, const DenseGeom& g, In x, In weights, In bias, Out y,
                     KernelMode mode) {
   const std::size_t in = g.in_features;
   const std::size_t out = g.out_features;
-
-  const KernelSite row_skip_site =
-      SCE_KERNEL_SITE("dense row-skip (x[i]==0 elides the weight row)");
 
   // Accumulators initialized with the bias vector.
   for (std::size_t o = 0; o < out; ++o) d.store(y, o, d.load(bias, o));
@@ -37,7 +37,7 @@ void forward_kernel(D d, const DenseGeom& g, In x, In weights, In bias, Out y,
       // Sparse-GEMM row skip: a zero activation's whole weight row is
       // never touched and its inner loop never runs.
       d.guarded(
-          row_skip_site, d.is_zero(v),
+          kRowSkipSite, d.is_zero(v),
           [&] { d.retire(nn::detail::kLoopOverhead); }, row);
     } else {
       row();
@@ -50,14 +50,10 @@ void forward_kernel(D d, const DenseGeom& g, In x, In weights, In bias, Out y,
 
 void dense_instrumented(const DenseShape& s, uarch::TraceSink& sink,
                         KernelMode mode) {
-  forward_kernel(ConcreteDomain(sink), s.geom, s.in, s.weights, s.bias, s.out,
-                 mode);
-}
-
-void dense_scalar(const DenseShape& s, KernelMode mode) {
-  uarch::DiscardSink sink;
-  forward_kernel(ConcreteDomain(sink), s.geom, s.in, s.weights, s.bias, s.out,
-                 mode);
+  with_static_sink(sink, [&](auto& to) {
+    forward_kernel(ConcreteDomain(to), s.geom, s.in, s.weights, s.bias, s.out,
+                   mode);
+  });
 }
 
 void dense_instrumented(const DenseGeom& g, SymbolicExecutor& exec,

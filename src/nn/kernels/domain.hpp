@@ -1,12 +1,15 @@
 // Execution domains of the instrumented kernels.
 //
 // Each instrumented kernel in *_instrumented.cpp is one function
-// template over a domain `D`, instantiated twice:
+// template over a domain `D`, instantiated for two kinds of domain:
 //
 //  * ConcreteDomain<Sink> computes on floats and reports every event to
-//    a sink: a TraceSink for observing runs (campaigns, the trace
-//    oracle), a DiscardSink for the scalar baseline, where every trace
-//    call compiles away.
+//    a sink.  The kernel's one entry point, `*_instrumented(shape,
+//    TraceSink&, mode)`, picks the sink type once per call through
+//    with_static_sink(): DiscardSink when the sink discards (every trace
+//    call compiles away), the SimulatorSink when the sink is the live
+//    simulator (its hit paths inline into the loop), and TraceSink, one
+//    virtual call per event, for every other sink.
 //  * SymbolicDomain runs the same loop nest over SymValue taints against
 //    a SymbolicExecutor, which derives the kernel's leakage contract from
 //    it.  A kernel edit therefore changes what is analyzed, and every
@@ -35,25 +38,51 @@
 #include <cstdint>
 
 #include "nn/kernels/symbolic.hpp"
+#include "uarch/simulator_sink.hpp"
 #include "uarch/trace.hpp"
 
 namespace sce::nn::kernels {
 
-/// A data-dependent branch site: the pseudo-PC the concrete domain
-/// reports to branch predictors, and the source location plus label the
-/// symbolic domain cites in witnesses.
+/// A data-dependent branch site: the source location plus label the
+/// symbolic domain cites in witnesses, and the pseudo-PC the concrete
+/// domain reports to branch predictors, which is the site's own address.
+/// Define sites as namespace-scope constants, not inside a kernel
+/// template: there every instantiation would get its own anchor, and the
+/// SimulatorSink and TraceSink instantiations would report different pcs
+/// for one branch, so a live measurement and the replay of its recorded
+/// trace would count different branch-misses.
 struct KernelSite {
-  std::uintptr_t pc;
   SymSite sym;
+
+  std::uintptr_t pc() const { return reinterpret_cast<std::uintptr_t>(this); }
 };
 
-/// Names a kernel branch site once, for both domains.
+/// Names a kernel branch site once, for both domains:
+///   constexpr KernelSite kSite = SCE_KERNEL_SITE("label");
 #define SCE_KERNEL_SITE(label) \
-  (::sce::nn::kernels::KernelSite{SCE_BRANCH_SITE(), SCE_SYM_SITE(label)})
+  (::sce::nn::kernels::KernelSite{SCE_SYM_SITE(label)})
+
+/// Calls `kernel(s)` with `s` the most specific sink `sink` allows: a
+/// DiscardSink when it discards every event, the SimulatorSink when it is
+/// one, else `sink` itself.  Asked once per kernel call, never per event,
+/// so each kernel has exactly these three concrete instantiations.
+template <typename Kernel>
+void with_static_sink(uarch::TraceSink& sink, Kernel&& kernel) {
+  if (sink.discards()) {
+    uarch::DiscardSink discard;
+    kernel(discard);
+  } else if (uarch::SimulatorSink* simulator = sink.simulator()) {
+    kernel(*simulator);
+  } else {
+    kernel(sink);
+  }
+}
 
 /// Floats plus a sink.  No allocation, no virtual call beyond the sink's
 /// own, and arms are inlined callables: the instantiation over a given
 /// sink emits exactly the events of a hand-written loop over that sink.
+/// Over a SimulatorSink, whose event methods are final, there is no
+/// virtual call at all.
 template <typename Sink>
 class ConcreteDomain {
  public:
@@ -75,12 +104,12 @@ class ConcreteDomain {
   void structural_branches(std::uint64_t n) { sink_.structural_branches(n); }
 
   void branch(const KernelSite& site, bool taken) {
-    sink_.branch(site.pc, taken);
+    sink_.branch(site.pc(), taken);
   }
   template <typename Then, typename Else>
   void guarded(const KernelSite& site, bool taken, Then&& then_arm,
                Else&& else_arm) {
-    sink_.branch(site.pc, taken);
+    sink_.branch(site.pc(), taken);
     // A block-layout choice, not a probability: with the work arm on
     // the fall-through path, as in a hand-written loop, data-dependent
     // MNIST through a CountingSink ran ~10% faster (GCC, x86-64).  The

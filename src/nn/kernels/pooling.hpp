@@ -43,13 +43,11 @@ struct Pool2DShape {
 
 void maxpool2d_instrumented(const Pool2DShape& s, uarch::TraceSink& sink,
                             KernelMode mode);
-void maxpool2d_scalar(const Pool2DShape& s, KernelMode mode);
 void maxpool2d_fast(const Pool2DShape& s);
 
 /// AvgPool has no data-dependent behaviour in either mode; the mode
 /// parameter is deliberately absent.
 void avgpool2d_instrumented(const Pool2DShape& s, uarch::TraceSink& sink);
-void avgpool2d_scalar(const Pool2DShape& s);
 void avgpool2d_fast(const Pool2DShape& s);
 
 }  // namespace sce::nn::kernels

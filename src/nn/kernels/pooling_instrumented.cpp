@@ -9,12 +9,12 @@
 namespace sce::nn::kernels {
 namespace {
 
+constexpr KernelSite kMaxUpdateSite =
+    SCE_KERNEL_SITE("maxpool max-update branch");
+
 template <typename D, typename In, typename Out>
 void maxpool_kernel(D d, const Pool2DGeom& g, In in, Out out,
                     KernelMode mode) {
-  const KernelSite max_update_site =
-      SCE_KERNEL_SITE("maxpool max-update branch");
-
   for (std::size_t c = 0; c < g.channels; ++c) {
     for (std::size_t oy = 0; oy < g.out_h; ++oy) {
       for (std::size_t ox = 0; ox < g.out_w; ++ox) {
@@ -37,7 +37,7 @@ void maxpool_kernel(D d, const Pool2DGeom& g, In in, Out out,
               // Which window element is the max depends on the data; the
               // update is a real conditional branch guarding only a
               // register move, so memory and counts stay fixed.
-              d.branch(max_update_site, update);
+              d.branch(kMaxUpdateSite, update);
               best = d.select(update, v, best);
               d.retire(nn::detail::kCompareInstructions);
             } else {
@@ -84,12 +84,9 @@ void avgpool_kernel(D d, const Pool2DGeom& g, In in, Out out) {
 
 void maxpool2d_instrumented(const Pool2DShape& s, uarch::TraceSink& sink,
                             KernelMode mode) {
-  maxpool_kernel(ConcreteDomain(sink), s.geom, s.in, s.out, mode);
-}
-
-void maxpool2d_scalar(const Pool2DShape& s, KernelMode mode) {
-  uarch::DiscardSink sink;
-  maxpool_kernel(ConcreteDomain(sink), s.geom, s.in, s.out, mode);
+  with_static_sink(sink, [&](auto& to) {
+    maxpool_kernel(ConcreteDomain(to), s.geom, s.in, s.out, mode);
+  });
 }
 
 void maxpool2d_instrumented(const Pool2DGeom& g, SymbolicExecutor& exec,
@@ -100,12 +97,9 @@ void maxpool2d_instrumented(const Pool2DGeom& g, SymbolicExecutor& exec,
 }
 
 void avgpool2d_instrumented(const Pool2DShape& s, uarch::TraceSink& sink) {
-  avgpool_kernel(ConcreteDomain(sink), s.geom, s.in, s.out);
-}
-
-void avgpool2d_scalar(const Pool2DShape& s) {
-  uarch::DiscardSink sink;
-  avgpool_kernel(ConcreteDomain(sink), s.geom, s.in, s.out);
+  with_static_sink(sink, [&](auto& to) {
+    avgpool_kernel(ConcreteDomain(to), s.geom, s.in, s.out);
+  });
 }
 
 void avgpool2d_instrumented(const Pool2DGeom& g, SymbolicExecutor& exec) {

@@ -41,7 +41,6 @@ struct RnnShape {
 
 void rnn_instrumented(const RnnShape& s, uarch::TraceSink& sink,
                       KernelMode mode);
-void rnn_scalar(const RnnShape& s, KernelMode mode);
 /// Vectorized AXPY sweeps; the data-dependent row skip stays a real
 /// scalar branch (as in Dense).
 void rnn_fast(const RnnShape& s, KernelMode mode);

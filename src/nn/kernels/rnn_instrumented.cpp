@@ -8,17 +8,17 @@
 namespace sce::nn::kernels {
 namespace {
 
+constexpr KernelSite kInputSkipSite =
+    SCE_KERNEL_SITE("rnn input row-skip (x_t[i]==0)");
+constexpr KernelSite kHiddenSkipSite =
+    SCE_KERNEL_SITE("rnn hidden row-skip (h[i]==0, ReLU-sparse)");
+constexpr KernelSite kReluSite =
+    SCE_KERNEL_SITE("rnn recurrent ReLU sign branch");
+
 template <typename D, typename In, typename Out>
 void forward_kernel(D d, const RnnGeom& g, In x, In wx, In wh, In bias, Out h,
                     Out acc, KernelMode mode) {
   const std::size_t hidden_dim = g.hidden_dim;
-
-  const KernelSite input_skip_site =
-      SCE_KERNEL_SITE("rnn input row-skip (x_t[i]==0)");
-  const KernelSite hidden_skip_site =
-      SCE_KERNEL_SITE("rnn hidden row-skip (h[i]==0, ReLU-sparse)");
-  const KernelSite relu_site =
-      SCE_KERNEL_SITE("rnn recurrent ReLU sign branch");
   const auto zero = d.constant(0.0f);
 
   // acc += W^T v over `dim` rows of `weights`, input-stationary with
@@ -53,19 +53,19 @@ void forward_kernel(D d, const RnnGeom& g, In x, In wx, In wh, In bias, Out h,
     d.structural_branches(hidden_dim);
     // acc += Wx^T x_t
     axpy_sweep(
-        input_skip_site,
+        kInputSkipSite,
         [&](std::size_t i) { return d.load(x, t * g.input_dim + i); },
         g.input_dim, wx);
     // acc += Wh^T h_{t-1}: ReLU-sparse hidden state skips its rows too.
     axpy_sweep(
-        hidden_skip_site, [&](std::size_t i) { return d.load(h, i); },
+        kHiddenSkipSite, [&](std::size_t i) { return d.load(h, i); },
         hidden_dim, wh);
     // h = ReLU(acc)
     for (std::size_t j = 0; j < hidden_dim; ++j) {
       const auto v = d.load(acc, j);
       const auto negative = d.is_negative(v);
       if (mode == KernelMode::kDataDependent) {
-        d.branch(relu_site, negative);
+        d.branch(kReluSite, negative);
         d.retire(nn::detail::kLoopOverhead);
       } else {
         d.retire(nn::detail::kLoopOverhead + 1);
@@ -80,14 +80,10 @@ void forward_kernel(D d, const RnnGeom& g, In x, In wx, In wh, In bias, Out h,
 
 void rnn_instrumented(const RnnShape& s, uarch::TraceSink& sink,
                       KernelMode mode) {
-  forward_kernel(ConcreteDomain(sink), s.geom, s.in, s.wx, s.wh, s.bias, s.h,
-                 s.acc, mode);
-}
-
-void rnn_scalar(const RnnShape& s, KernelMode mode) {
-  uarch::DiscardSink sink;
-  forward_kernel(ConcreteDomain(sink), s.geom, s.in, s.wx, s.wh, s.bias, s.h,
-                 s.acc, mode);
+  with_static_sink(sink, [&](auto& to) {
+    forward_kernel(ConcreteDomain(to), s.geom, s.in, s.wx, s.wh, s.bias, s.h,
+                   s.acc, mode);
+  });
 }
 
 void rnn_instrumented(const RnnGeom& g, SymbolicExecutor& exec,

@@ -15,7 +15,6 @@ namespace sce::nn::kernels {
 
 void softmax_instrumented(const float* in, float* out, std::size_t n,
                           uarch::TraceSink& sink);
-void softmax_scalar(const float* in, float* out, std::size_t n);
 void softmax_fast(const float* in, float* out, std::size_t n);
 
 }  // namespace sce::nn::kernels

@@ -37,12 +37,9 @@ void forward_kernel(D d, In x, Out y, std::size_t n) {
 
 void softmax_instrumented(const float* in, float* out, std::size_t n,
                           uarch::TraceSink& sink) {
-  forward_kernel(ConcreteDomain(sink), in, out, n);
-}
-
-void softmax_scalar(const float* in, float* out, std::size_t n) {
-  uarch::DiscardSink sink;
-  forward_kernel(ConcreteDomain(sink), in, out, n);
+  with_static_sink(sink, [&](auto& to) {
+    forward_kernel(ConcreteDomain(to), in, out, n);
+  });
 }
 
 void softmax_instrumented(std::size_t n, SymbolicExecutor& exec) {

@@ -33,8 +33,6 @@ void MaxPool2D::forward_into(const Tensor& input, Tensor& output,
 
   if (kernels::select_path(sink, path) == ExecutionPath::kFast)
     kernels::maxpool2d_fast(shape);
-  else if (sink.discards())
-    kernels::maxpool2d_scalar(shape, mode);
   else
     kernels::maxpool2d_instrumented(shape, sink, mode);
 }

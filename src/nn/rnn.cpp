@@ -88,8 +88,6 @@ void ElmanRNN::forward_into(const Tensor& input, Tensor& output,
 
   if (kernels::select_path(sink, path) == ExecutionPath::kFast)
     kernels::rnn_fast(shape, mode);
-  else if (sink.discards())
-    kernels::rnn_scalar(shape, mode);
   else
     kernels::rnn_instrumented(shape, sink, mode);
 }

@@ -76,8 +76,6 @@ void Softmax::forward_into(const Tensor& input, Tensor& output,
   const std::size_t n = input.numel();
   if (kernels::select_path(sink, path) == ExecutionPath::kFast)
     kernels::softmax_fast(input.data(), output.data(), n);
-  else if (sink.discards())
-    kernels::softmax_scalar(input.data(), output.data(), n);
   else
     kernels::softmax_instrumented(input.data(), output.data(), n, sink);
 }

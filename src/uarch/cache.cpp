@@ -1,7 +1,5 @@
 #include "uarch/cache.hpp"
 
-#include <bit>
-
 #include "util/error.hpp"
 
 namespace sce::uarch {
@@ -44,53 +42,6 @@ CacheLevel::CacheLevel(CacheConfig config, std::uint64_t rng_seed)
   plru_.assign(sets, 0);
 }
 
-// Line and set indices are shifts and masks: line_bytes and the set count
-// are powers of two (checked by the constructor), and plru_ holds one entry
-// per set, so no extra member is needed to cache the geometry.
-std::uintptr_t CacheLevel::line_of(std::uintptr_t address) const {
-  return address >> std::countr_zero(config_.line_bytes);
-}
-
-std::size_t CacheLevel::set_of(std::uintptr_t line) const {
-  return static_cast<std::size_t>(line) & (plru_.size() - 1);
-}
-
-// Inline: access() calls it on every hit, which is nearly every access.
-inline void CacheLevel::touch(std::size_t set, std::size_t way) {
-  Way& w = ways_[set * config_.associativity + way];
-  switch (config_.policy) {
-    case ReplacementPolicy::kLru:
-      w.lru_stamp = ++tick_;
-      break;
-    case ReplacementPolicy::kFifo:
-      // FIFO does not update on hit; the stamp is set at install time.
-      break;
-    case ReplacementPolicy::kTreePlru: {
-      // Walk the tree from root to this way, pointing each node away from
-      // the path taken (the classic PLRU promotion).
-      std::uint64_t& bits = plru_[set];
-      std::size_t node = 0;
-      std::size_t lo = 0;
-      std::size_t hi = config_.associativity;
-      while (hi - lo > 1) {
-        const std::size_t mid = (lo + hi) / 2;
-        if (way < mid) {
-          bits |= (std::uint64_t{1} << node);  // point right (away)
-          hi = mid;
-          node = 2 * node + 1;
-        } else {
-          bits &= ~(std::uint64_t{1} << node);  // point left (away)
-          lo = mid;
-          node = 2 * node + 2;
-        }
-      }
-      break;
-    }
-    case ReplacementPolicy::kRandom:
-      break;
-  }
-}
-
 std::size_t CacheLevel::choose_victim(std::size_t set) {
   const std::size_t assoc = config_.associativity;
   Way* base = &ways_[set * assoc];
@@ -131,23 +82,11 @@ std::size_t CacheLevel::choose_victim(std::size_t set) {
   return 0;
 }
 
-bool CacheLevel::access(std::uintptr_t address, bool is_write) {
-  ++stats_.accesses;
-  const std::uintptr_t line = line_of(address);
-  const std::size_t set = set_of(line);
-  const std::size_t assoc = config_.associativity;
-  Way* base = &ways_[set * assoc];
-  for (std::size_t i = 0; i < assoc; ++i) {
-    if (base[i].valid && base[i].tag == line) {
-      ++stats_.hits;
-      if (is_write) base[i].dirty = true;
-      touch(set, i);
-      return true;
-    }
-  }
+bool CacheLevel::install(std::uintptr_t line, std::size_t set,
+                         bool is_write) {
   ++stats_.misses;
   const std::size_t victim = choose_victim(set);
-  Way& w = base[victim];
+  Way& w = ways_[set * config_.associativity + victim];
   if (w.valid) {
     ++stats_.evictions;
     if (w.dirty) ++stats_.writebacks;

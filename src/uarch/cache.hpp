@@ -6,6 +6,7 @@
 // (the policy used by most Intel L1/L2 caches), FIFO and random.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -70,7 +71,8 @@ class CacheLevel {
   /// Access the line containing `line_address` (an address already shifted
   /// to line granularity is not required; any byte address works).
   /// Returns true on hit.  On miss the line is installed, possibly
-  /// evicting another.
+  /// evicting another.  The hit path is inline (below); the miss path is
+  /// not.
   bool access(std::uintptr_t address, bool is_write);
 
   /// Probe without updating state or stats (for tests/inspection).
@@ -97,6 +99,8 @@ class CacheLevel {
   std::size_t set_of(std::uintptr_t line) const;
   std::size_t choose_victim(std::size_t set);
   void touch(std::size_t set, std::size_t way);
+  /// The miss path of access(): install `line` in `set`.  Returns false.
+  bool install(std::uintptr_t line, std::size_t set, bool is_write);
 
   CacheConfig config_;
   CacheStats stats_;
@@ -105,5 +109,67 @@ class CacheLevel {
   std::uint64_t tick_ = 0;
   util::Rng rng_;
 };
+
+// Line and set indices are shifts and masks: line_bytes and the set count
+// are powers of two (checked by the constructor), and plru_ holds one entry
+// per set, so no extra member is needed to cache the geometry.
+inline std::uintptr_t CacheLevel::line_of(std::uintptr_t address) const {
+  return address >> std::countr_zero(config_.line_bytes);
+}
+
+inline std::size_t CacheLevel::set_of(std::uintptr_t line) const {
+  return static_cast<std::size_t>(line) & (plru_.size() - 1);
+}
+
+inline void CacheLevel::touch(std::size_t set, std::size_t way) {
+  Way& w = ways_[set * config_.associativity + way];
+  switch (config_.policy) {
+    case ReplacementPolicy::kLru:
+      w.lru_stamp = ++tick_;
+      break;
+    case ReplacementPolicy::kFifo:
+      // FIFO does not update on hit; the stamp is set at install time.
+      break;
+    case ReplacementPolicy::kTreePlru: {
+      // Walk the tree from root to this way, pointing each node away from
+      // the path taken (the classic PLRU promotion).
+      std::uint64_t& bits = plru_[set];
+      std::size_t node = 0;
+      std::size_t lo = 0;
+      std::size_t hi = config_.associativity;
+      while (hi - lo > 1) {
+        const std::size_t mid = (lo + hi) / 2;
+        if (way < mid) {
+          bits |= (std::uint64_t{1} << node);  // point right (away)
+          hi = mid;
+          node = 2 * node + 1;
+        } else {
+          bits &= ~(std::uint64_t{1} << node);  // point left (away)
+          lo = mid;
+          node = 2 * node + 2;
+        }
+      }
+      break;
+    }
+    case ReplacementPolicy::kRandom:
+      break;
+  }
+}
+
+inline bool CacheLevel::access(std::uintptr_t address, bool is_write) {
+  ++stats_.accesses;
+  const std::uintptr_t line = line_of(address);
+  const std::size_t set = set_of(line);
+  Way* base = &ways_[set * config_.associativity];
+  for (std::size_t i = 0; i < config_.associativity; ++i) {
+    if (base[i].valid && base[i].tag == line) {
+      ++stats_.hits;
+      if (is_write) base[i].dirty = true;
+      touch(set, i);
+      return true;
+    }
+  }
+  return install(line, set, is_write);
+}
 
 }  // namespace sce::uarch

@@ -25,17 +25,8 @@ const CacheStats& MemoryHierarchy::llc_stats() const {
   return llc_ ? llc_->stats() : empty_stats_;
 }
 
-AccessResult MemoryHierarchy::access_line(std::uintptr_t line_addr,
-                                          bool is_write) {
-  AccessResult r;
-  r.lines_touched = 1;
-  if (config_.enable_tlb) {
-    if (!tlb_.access(line_addr)) r.cycles += config_.tlb_miss_cycles;
-  }
-  if (l1d_->access(line_addr, is_write)) {
-    r.cycles += config_.l1_hit_cycles;
-    return r;
-  }
+std::uint64_t MemoryHierarchy::access_below_l1(std::uintptr_t line_addr,
+                                               bool is_write) {
   if (config_.enable_next_line_prefetch && l2_) {
     // Fetch the next line into L2 (and LLC) without charging latency.
     const std::uintptr_t next = line_addr + config_.l1d.line_bytes;
@@ -48,31 +39,17 @@ AccessResult MemoryHierarchy::access_line(std::uintptr_t line_addr,
       if (!l2_->access(target, false) && llc_) llc_->access(target, false);
     }
   }
-  if (l2_) {
-    if (l2_->access(line_addr, is_write)) {
-      r.cycles += config_.l2_hit_cycles;
-      return r;
-    }
-  }
-  if (llc_) {
-    if (llc_->access(line_addr, is_write)) {
-      r.cycles += config_.llc_hit_cycles;
-      return r;
-    }
-  }
-  r.cycles += config_.memory_cycles;
-  return r;
+  if (l2_ && l2_->access(line_addr, is_write)) return config_.l2_hit_cycles;
+  if (llc_ && llc_->access(line_addr, is_write)) return config_.llc_hit_cycles;
+  return config_.memory_cycles;
 }
 
-AccessResult MemoryHierarchy::access(std::uintptr_t addr, std::size_t bytes,
-                                     bool is_write) {
+AccessResult MemoryHierarchy::access_lines(std::uintptr_t addr,
+                                           std::size_t bytes, bool is_write) {
   if (bytes == 0) throw InvalidArgument("MemoryHierarchy::access: zero bytes");
-  // CacheLevel checks that the L1D line size is a power of two.
   const int line_shift = std::countr_zero(config_.l1d.line_bytes);
   const std::uintptr_t first = addr >> line_shift;
   const std::uintptr_t last = (addr + bytes - 1) >> line_shift;
-  // Kernel accesses are aligned scalars: nearly all stay within one line.
-  if (first == last) return access_line(first << line_shift, is_write);
   AccessResult total;
   for (std::uintptr_t l = first; l <= last; ++l) {
     const AccessResult r = access_line(l << line_shift, is_write);

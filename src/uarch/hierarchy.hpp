@@ -7,6 +7,7 @@
 // walk L1D -> L2 -> LLC.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -71,7 +72,9 @@ class MemoryHierarchy {
 
   const HierarchyConfig& config() const { return config_; }
 
-  /// Perform a data access covering [addr, addr + bytes).
+  /// Perform a data access covering [addr, addr + bytes).  A single-line
+  /// access that hits the TLB and L1D completes inline (below); misses
+  /// and multi-line accesses call out.
   AccessResult access(std::uintptr_t addr, std::size_t bytes, bool is_write);
 
   const CacheStats& l1d_stats() const { return l1d_->stats(); }
@@ -101,6 +104,12 @@ class MemoryHierarchy {
 
  private:
   AccessResult access_line(std::uintptr_t line_addr, bool is_write);
+  /// access() for a zero-byte or multi-line range.
+  AccessResult access_lines(std::uintptr_t addr, std::size_t bytes,
+                            bool is_write);
+  /// The part of access_line() below an L1D miss: prefetchers, L2, LLC
+  /// and memory.  Returns the cycles it adds.
+  std::uint64_t access_below_l1(std::uintptr_t line_addr, bool is_write);
 
   HierarchyConfig config_;
   std::unique_ptr<CacheLevel> l1d_;
@@ -110,5 +119,31 @@ class MemoryHierarchy {
   StridePrefetcher stride_prefetcher_;
   CacheStats empty_stats_{};
 };
+
+inline AccessResult MemoryHierarchy::access_line(std::uintptr_t line_addr,
+                                                 bool is_write) {
+  AccessResult r;
+  r.lines_touched = 1;
+  if (config_.enable_tlb) {
+    if (!tlb_.access(line_addr)) r.cycles += config_.tlb_miss_cycles;
+  }
+  if (l1d_->access(line_addr, is_write)) {
+    r.cycles += config_.l1_hit_cycles;
+    return r;
+  }
+  r.cycles += access_below_l1(line_addr, is_write);
+  return r;
+}
+
+inline AccessResult MemoryHierarchy::access(std::uintptr_t addr,
+                                            std::size_t bytes, bool is_write) {
+  // CacheLevel checks that the L1D line size is a power of two.
+  const int line_shift = std::countr_zero(config_.l1d.line_bytes);
+  const std::uintptr_t first = addr >> line_shift;
+  // Kernel accesses are aligned scalars: nearly all stay within one line.
+  if (bytes != 0 && first == (addr + bytes - 1) >> line_shift)
+    return access_line(first << line_shift, is_write);
+  return access_lines(addr, bytes, is_write);
+}
 
 }  // namespace sce::uarch

@@ -1,7 +1,5 @@
 #include "uarch/tlb.hpp"
 
-#include <bit>
-
 #include "util/error.hpp"
 
 namespace sce::uarch {
@@ -24,18 +22,7 @@ Tlb::Tlb(TlbConfig config, std::uint64_t /*rng_seed*/)
   entries_.assign(config_.entries, Entry{});
 }
 
-bool Tlb::access(std::uintptr_t address) {
-  ++stats_.accesses;
-  const std::uintptr_t page = address >> std::countr_zero(config_.page_bytes);
-  const std::size_t set = static_cast<std::size_t>(page) & (num_sets_ - 1);
-  Entry* base = &entries_[set * config_.associativity];
-  for (std::size_t i = 0; i < config_.associativity; ++i) {
-    if (base[i].valid && base[i].page == page) {
-      ++stats_.hits;
-      base[i].stamp = ++tick_;
-      return true;
-    }
-  }
+bool Tlb::install(std::uintptr_t page, Entry* base) {
   ++stats_.misses;
   // LRU replacement within the set; invalid entries first.
   std::size_t victim = 0;

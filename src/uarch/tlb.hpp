@@ -1,6 +1,7 @@
 // Simple set-associative data TLB model.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -33,6 +34,7 @@ class Tlb {
   explicit Tlb(TlbConfig config = {}, std::uint64_t rng_seed = 13);
 
   /// Translate the page containing `address`; returns true on TLB hit.
+  /// The hit path is inline (below); the miss path is not.
   bool access(std::uintptr_t address);
 
   const TlbStats& stats() const { return stats_; }
@@ -48,11 +50,30 @@ class Tlb {
     std::uint64_t stamp = 0;
   };
 
+  /// The miss path of access(): install `page` in the set at `base`.
+  /// Returns false.
+  bool install(std::uintptr_t page, Entry* base);
+
   TlbConfig config_;
   TlbStats stats_;
   std::vector<Entry> entries_;
   std::uint64_t tick_ = 0;
   std::size_t num_sets_ = 1;
 };
+
+inline bool Tlb::access(std::uintptr_t address) {
+  ++stats_.accesses;
+  const std::uintptr_t page = address >> std::countr_zero(config_.page_bytes);
+  const std::size_t set = static_cast<std::size_t>(page) & (num_sets_ - 1);
+  Entry* base = &entries_[set * config_.associativity];
+  for (std::size_t i = 0; i < config_.associativity; ++i) {
+    if (base[i].valid && base[i].page == page) {
+      ++stats_.hits;
+      base[i].stamp = ++tick_;
+      return true;
+    }
+  }
+  return install(page, base);
+}
 
 }  // namespace sce::uarch

@@ -13,6 +13,8 @@
 
 namespace sce::uarch {
 
+class SimulatorSink;
+
 /// Receiver of a dynamic execution trace.  Implementations must tolerate
 /// arbitrary interleavings; calls are strictly program-ordered.
 class TraceSink {
@@ -32,12 +34,21 @@ class TraceSink {
   /// `n` additional (non-branch, non-memory) instructions retired.
   virtual void retire(std::uint64_t n) = 0;
 
-  /// True when every event is provably discarded (NullSink).  Execution
-  /// engines use this to skip trace generation entirely — the planned
-  /// inference path dispatches to untraced kernel instantiations, which
-  /// removes one virtual call per dynamic instruction from prediction
-  /// serving while leaving instrumented runs untouched.
+  /// True when every event is provably discarded (NullSink).  Layers then
+  /// may run the untraced fast kernels, and the instrumented kernels run
+  /// their DiscardSink instantiation, in which every trace call compiles
+  /// away.
   virtual bool discards() const { return false; }
+  /// The simulator this sink is, if it is one (SimulatorSink, and with it
+  /// hpc::SimulatedPmu); null otherwise.  The instrumented kernels then
+  /// run their SimulatorSink instantiation, which calls the simulator's
+  /// inline event methods instead of this interface per event.
+  ///
+  /// Both hooks are asked once per kernel call, by one helper
+  /// (nn::kernels::with_static_sink in nn/kernels/domain.hpp), which picks
+  /// among three instantiations of each kernel: DiscardSink, SimulatorSink
+  /// and TraceSink for every other sink.
+  virtual SimulatorSink* simulator() { return nullptr; }
 };
 
 /// Discards everything; used by training and un-instrumented runs.
@@ -52,9 +63,9 @@ class NullSink final : public TraceSink {
 };
 
 /// Non-virtual no-op sink.  Kernels are templates over the sink type; when
-/// a TraceSink reports discards(), layers re-dispatch to an instantiation
-/// over this type and the compiler deletes every trace call.  Not a
-/// TraceSink on purpose: it must never be passed through a TraceSink&.
+/// a TraceSink reports discards(), the kernel runs its instantiation over
+/// this type and the compiler deletes every trace call.  Not a TraceSink
+/// on purpose: it must never be passed through a TraceSink&.
 struct DiscardSink {
   void load(const void*, std::size_t) {}
   void store(const void*, std::size_t) {}
@@ -166,7 +177,9 @@ class TeeSink final : public TraceSink {
 /// Helper macro giving each instrumented branch site a unique, stable
 /// pseudo-PC (the address of a function-local static), so branch
 /// predictors can index their tables the way real hardware indexes by
-/// instruction address.
+/// instruction address.  The nn kernels name their sites with
+/// SCE_KERNEL_SITE (nn/kernels/domain.hpp) instead, whose pcs do not
+/// depend on the sink type a kernel template is instantiated over.
 #define SCE_BRANCH_SITE()                                      \
   ([]() -> std::uintptr_t {                                    \
     static const char site_anchor = 0;                         \

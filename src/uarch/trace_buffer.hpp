@@ -114,9 +114,9 @@ struct TraceBufferStats {
 class TraceBuffer final : public TraceSink {
  public:
   /// Base of the canonical address space emitted by kCanonical replay.
-  /// Deliberately equal to SimulatedPmu's normalized base so a cold
-  /// consumer's skipped normalization is bit-compatible with the live
-  /// path.
+  /// SimulatorSink normalizes live addresses into the same space, so a
+  /// cold consumer's skipped normalization is bit-compatible with the
+  /// live path.
   static constexpr std::uintptr_t kCanonicalBase = std::uintptr_t{1} << 34;
   /// First stable page id handed to relocation groups; above any
   /// user-space raw page so registered and unregistered pages never

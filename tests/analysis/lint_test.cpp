@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "analysis/lint.hpp"
+#include "analysis/report.hpp"
 #include "tests/core/campaign_helpers.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace sce::analysis {
 namespace {
@@ -77,6 +79,29 @@ TEST(Lint, MismatchedInputShapeThrows) {
   LintOptions options;
   // 28x28 inputs do not chain through a model built for 12x12.
   EXPECT_THROW(lint(model, {1, 28, 28}, options), Error);
+}
+
+TEST(Lint, JsonWitnessPathsAreRepoRelative) {
+  // Witness files come from __FILE__, which is absolute when the build
+  // passes absolute paths; the report must not carry the build host's
+  // checkout directory.
+  const nn::Sequential model = core::testing::tiny_model();
+  LintOptions options;
+  options.mode = nn::KernelMode::kDataDependent;
+  const LintReport report = lint(model, kTinyShape, options);
+  const util::JsonValue doc = util::parse_json(render_json(report.analysis));
+  std::size_t witnesses = 0;
+  const util::JsonValue& findings = doc.at("findings");
+  for (std::size_t i = 0; i < findings.size(); ++i) {
+    const util::JsonValue* list = findings.at(i).find("witnesses");
+    if (list == nullptr) continue;
+    for (std::size_t j = 0; j < list->size(); ++j, ++witnesses) {
+      const std::string file = list->at(j).at("file").as_string();
+      EXPECT_FALSE(file.starts_with("/")) << file;
+      EXPECT_TRUE(file.starts_with("src/")) << file;
+    }
+  }
+  EXPECT_GT(witnesses, 0u);
 }
 
 }  // namespace

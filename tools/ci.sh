@@ -133,11 +133,13 @@ else
   echo "==> fast-vs-instrumented bit-identity under address;undefined"
   # The KernelPath suite asserts the SIMD fast kernels are bit-for-bit
   # identical to the instrumented scalar loops (every zoo model, both
-  # kernel modes, edge shapes, plan buffer reuse).  Running it under
-  # ASan/UBSan first gives the refactor-critical gate its own named
-  # stage; the full sanitized suite below reuses the same build tree.
+  # kernel modes, edge shapes, plan buffer reuse), and StaticSinkDispatch
+  # that the simulator, TraceSink and DiscardSink instantiations of those
+  # loops compute and count alike.  Running them under ASan/UBSan first
+  # gives the refactor-critical gates their own named stage; the full
+  # sanitized suite below reuses the same build tree.
   "$SRC_DIR/tools/run_sanitized_tests.sh" "address;undefined" \
-    "${BUILD_DIR}-sanitize" 'KernelPath'
+    "${BUILD_DIR}-sanitize" 'KernelPath|StaticSinkDispatch'
 
   echo "==> running tier-1 suite under address;undefined"
   "$SRC_DIR/tools/run_sanitized_tests.sh" "address;undefined" \
