@@ -3,9 +3,10 @@
 // Walks a Sequential model's layer graph without executing a single
 // kernel: shape inference assigns every layer its input/output shapes,
 // the secret-taint lattice propagates from the input tensor, and each
-// layer's LeakageContract is composed into per-layer findings plus a
-// whole-model verdict.  The result is what a measurement campaign would
-// discover dynamically — predicted before a single sample is acquired.
+// layer's LeakageContract, derived from its kernel by symbolic
+// execution, is composed into per-layer findings plus a whole-model
+// verdict.  The result is what a measurement campaign would discover
+// dynamically — predicted before a single sample is acquired.
 #pragma once
 
 #include <cstddef>
@@ -29,20 +30,10 @@ struct LayerFinding {
   std::string layer_name;
   std::vector<std::size_t> input_shape;
   std::vector<std::size_t> output_shape;
-  nn::LeakageContract contract;
-  /// True when the layer has a symbolic kernel model and `derived` below
-  /// is meaningful.  When set, the verdict/exploitability/taint fields of
-  /// this finding are computed from the DERIVED contract — what the code
-  /// does — with the declaration only cross-checked against it.
-  bool derived_available = false;
   /// The contract derived by symbolically executing the layer's kernel
-  /// (analysis/symexec), for this (mode, path).
-  nn::LeakageContract derived;
-  /// claims_equal(derived, declared): false means a lying or stale
-  /// declaration, reported at error severity.
-  bool derived_matches = true;
-  /// Which claims disagree, when they do ("" otherwise).
-  std::string mismatch_detail;
+  /// (analysis/symexec) for this (mode, path); worst case when the layer
+  /// has no symbolic model (`contract.declared` false).
+  nn::LeakageContract contract;
   /// First witness per derived leak aspect (model source site + label).
   std::vector<symexec::Witness> witnesses;
   /// Taint of the activations *entering* this layer.
@@ -75,25 +66,21 @@ struct AnalysisReport {
   EventSet predicted;
   /// Convenience tallies.
   std::size_t exploitable_layers = 0;
+  /// Layers with no symbolic kernel model, analyzed as the worst case.
   std::size_t undeclared_layers = 0;
   std::size_t rng_layers = 0;
   /// Layers whose analyzed contract nothing can vouch for: neither the
   /// trace oracle (instrumented path) nor the symbolic verifier's
-  /// refinement chain (fast path).  Zero for any model built purely from
+  /// refinement link (fast path).  Zero for any model built purely from
   /// this library's layers; nonzero only for custom layers with no
   /// symbolic model analyzed on the fast path.
   std::size_t unverified_layers = 0;
-  /// Layers whose derived contract disagrees with the declared one.
-  std::size_t mismatched_contracts = 0;
-  /// Layers with no symbolic kernel model (analysis fell back to the
-  /// declaration, unchecked).
-  std::size_t underived_layers = 0;
   /// Fast-path layers whose contract the symbolic verifier anchored to
   /// the oracle-validated instrumented contract via refinement.
   std::size_t symbolically_verified_layers = 0;
 
   /// True if `verdict` is at least `threshold` (the --fail-on test), or
-  /// if undeclared contracts were found and `fail_on_undeclared` is set.
+  /// if a layer has no symbolic model and `fail_on_undeclared` is set.
   bool fails(Verdict threshold, bool fail_on_undeclared = false) const {
     return verdict >= threshold ||
            (fail_on_undeclared && undeclared_layers > 0);
@@ -104,7 +91,7 @@ struct AnalyzerOptions {
   /// Severity assigned to exploitable control-flow / address findings.
   Severity control_flow_severity = Severity::kWarning;
   Severity address_severity = Severity::kError;
-  /// Severity for layers that never declared a contract.
+  /// Severity for layers with no symbolic model.
   Severity undeclared_severity = Severity::kError;
 };
 
@@ -115,9 +102,9 @@ class PlanAnalyzer {
   /// Analyze `model` for inputs of `input_shape` under `mode`, for the
   /// contracts of `path`'s kernels.  Runs the same shape inference an
   /// InferencePlan would (and throws the same InvalidArgument on a
-  /// mis-chained architecture); executes nothing.  Fast-path findings
-  /// are additionally marked unverified-by-oracle, since no trace exists
-  /// to falsify them.
+  /// mis-chained architecture); executes no kernel.  Fast-path findings
+  /// are verified by refinement against the instrumented contract, since
+  /// no trace exists to falsify them.
   AnalysisReport analyze(
       const nn::Sequential& model, const std::vector<std::size_t>& input_shape,
       nn::KernelMode mode, std::string model_name = "model",

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <utility>
 
+#include "analysis/symexec/engine.hpp"
 #include "uarch/trace.hpp"
 #include "util/error.hpp"
 
@@ -131,32 +132,28 @@ TraceVariance probe_layer(const nn::Layer& layer,
 
 std::vector<OracleMismatch> cross_check_model(
     const nn::Sequential& model, const std::vector<std::size_t>& input_shape,
-    nn::KernelMode mode, bool report_undeclared) {
+    nn::KernelMode mode) {
   std::vector<OracleMismatch> mismatches;
   auto disagree = [&](std::size_t index, const std::string& name,
-                      const char* claim, bool declared, bool observed) {
-    if (declared == observed) return;
+                      const char* claim, bool derived, bool observed) {
+    if (derived == observed) return;
     mismatches.push_back(
         {index, name,
-         std::string(claim) + ": declared " +
-             (declared ? "varying" : "invariant") + ", trace oracle observed " +
+         std::string(claim) + ": derived " +
+             (derived ? "varying" : "invariant") + ", trace oracle observed " +
              (observed ? "varying" : "invariant")});
   };
 
   std::vector<std::size_t> shape = input_shape;
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
     const nn::Layer& layer = model.layer(i);
-    const nn::LeakageContract contract = layer.leakage_contract(mode);
     const std::vector<std::size_t> in_shape = shape;
     shape = layer.output_shape(shape);
-    if (!contract.declared) {
-      if (report_undeclared)
-        mismatches.push_back(
-            {i, layer.name(),
-             "undeclared contract: conservative assumption cannot be "
-             "validated against the trace oracle"});
-      continue;
-    }
+    const nn::LeakageContract contract =
+        symexec::derive_layer_contract(layer, in_shape, mode,
+                                       nn::ExecutionPath::kInstrumented)
+            .contract;
+    if (!contract.declared) continue;
     const TraceVariance observed =
         probe_layer(layer, default_probes(in_shape), mode);
     disagree(i, layer.name(), "branch outcomes",

@@ -6,7 +6,7 @@
 // different sparsity/sign patterns — records every trace with a
 // RecordingSink, and reports which aspects actually varied.  Tests and
 // `leakage_lint --cross-check` then require observed variance to equal
-// the declared contract exactly: a flagged layer must really produce
+// the derived contract exactly: a flagged layer must really produce
 // input-varying branch/address traces, and a constant-flow layer must be
 // bit-identical across all probes.
 #pragma once
@@ -51,17 +51,17 @@ TraceVariance probe_layer(const nn::Layer& layer,
 struct OracleMismatch {
   std::size_t layer_index = 0;
   std::string layer_name;
-  std::string detail;  // which claim disagreed, declared vs observed
+  std::string detail;  // which claim disagreed, derived vs observed
 };
 
 /// Probe every layer of `model` (at its inferred input shape) in `mode`
-/// and compare observed variance with the declared contract, claim by
-/// claim.  Layers with undeclared contracts are skipped — a conservative
-/// over-approximation cannot be falsified — but reported when
-/// `report_undeclared` is set.  An empty result means the static
-/// analysis agrees with the µarch oracle everywhere.
+/// and compare observed variance with the layer's derived instrumented
+/// contract (symexec::derive_layer_contract), claim by claim.  Layers
+/// with no symbolic model are skipped: their worst-case contract cannot
+/// be falsified, and the analyzer already reports them.  An empty result
+/// means the static analysis agrees with the µarch oracle everywhere.
 std::vector<OracleMismatch> cross_check_model(
     const nn::Sequential& model, const std::vector<std::size_t>& input_shape,
-    nn::KernelMode mode, bool report_undeclared = false);
+    nn::KernelMode mode);
 
 }  // namespace sce::analysis

@@ -1,6 +1,6 @@
 // SARIF 2.1.0 rendering of a lint report, for GitHub code-scanning
-// annotations: one result per actionable finding (derived-vs-declared
-// mismatch, exploitable leak, undeclared or unverified contract, oracle
+// annotations: one result per actionable finding (exploitable leak,
+// layer without a symbolic model, unverified contract, oracle
 // disagreement), each located at its symbolic-model witness site when
 // the engine produced one.
 #pragma once

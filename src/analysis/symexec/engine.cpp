@@ -1,8 +1,10 @@
 #include "analysis/symexec/engine.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "nn/layer.hpp"
+#include "util/error.hpp"
 
 namespace sce::analysis::symexec {
 
@@ -88,10 +90,12 @@ void SymbolicEngine::assign(SymBuffer buffer, std::size_t index, SymValue v) {
 }
 
 void SymbolicEngine::retire(std::uint64_t instructions) {
+  retired_ += instructions;
   if (!frames_.empty()) frames_.back().retired += instructions;
 }
 
 void SymbolicEngine::structural_branches(std::uint64_t count) {
+  structural_ += count;
   if (!frames_.empty()) frames_.back().structural += count;
 }
 
@@ -177,10 +181,7 @@ SymValue SymbolicEngine::rng_draw(const SymSite& site) {
   return SymValue{SymTaint::kPublic};
 }
 
-void SymbolicEngine::unmodeled(const char* why) {
-  if (!unmodeled_) unmodeled_reason_ = why;
-  unmodeled_ = true;
-}
+void SymbolicEngine::unmodeled() { unmodeled_ = true; }
 
 void SymbolicEngine::note(const char* aspect, const SymSite& site,
                           std::string detail) {
@@ -193,11 +194,13 @@ void SymbolicEngine::note(const char* aspect, const SymSite& site,
 
 DerivedContract SymbolicEngine::finish(nn::ExecutionPath path) const {
   DerivedContract derived;
-  derived.modeled = !unmodeled_;
-  derived.unmodeled_reason = unmodeled_reason_;
-  derived.witnesses = witnesses_;
-
   nn::LeakageContract& c = derived.contract;
+  if (unmodeled_) {
+    c = nn::LeakageContract::undeclared();
+    c.path = path;
+    return derived;
+  }
+  derived.witnesses = witnesses_;
   c.branch_outcomes_vary = branch_outcomes_;
   c.branch_count_varies = branch_count_;
   c.address_stream_varies = address_stream_;
@@ -212,20 +215,52 @@ DerivedContract SymbolicEngine::finish(nn::ExecutionPath path) const {
         break;
       }
     }
-  } else if (!derived.modeled) {
-    c.taint = nn::TaintTransfer::kPropagate;  // worst case
   }
   return derived;
 }
 
+namespace {
+
+std::size_t numel(const std::vector<std::size_t>& shape) {
+  std::size_t n = 1;
+  for (std::size_t d : shape) n *= d;
+  return n;
+}
+
+/// `input_shape` one step longer along the first dimension the layer
+/// accepts longer without changing its output shape, if there is one.
+std::optional<std::vector<std::size_t>> longer_input(
+    const nn::Layer& layer, const std::vector<std::size_t>& input_shape) {
+  const std::vector<std::size_t> output = layer.output_shape(input_shape);
+  for (std::size_t d = 0; d < input_shape.size(); ++d) {
+    std::vector<std::size_t> longer = input_shape;
+    ++longer[d];
+    try {
+      if (layer.output_shape(longer) == output) return longer;
+    } catch (const Error&) {
+      // This dimension is fixed by the layer's geometry.
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 DerivedContract derive_layer_contract(
     const nn::Layer& layer, const std::vector<std::size_t>& input_shape,
     nn::KernelMode mode, nn::ExecutionPath path) {
-  std::size_t numel = 1;
-  for (std::size_t d : input_shape) numel *= d;
-  SymbolicEngine engine(numel);
+  SymbolicEngine engine(numel(input_shape));
   layer.symbolic_forward(engine, input_shape, mode, path);
-  return engine.finish(path);
+  DerivedContract derived = engine.finish(path);
+  if (!derived.contract.declared) return derived;
+  if (const auto longer = longer_input(layer, input_shape)) {
+    SymbolicEngine grown(numel(*longer));
+    layer.symbolic_forward(grown, *longer, mode, path);
+    derived.contract.shape_scales_trace =
+        grown.retired() != engine.retired() ||
+        grown.structural() != engine.structural();
+  }
+  return derived;
 }
 
 }  // namespace sce::analysis::symexec

@@ -16,8 +16,8 @@
 // are weak updates joined with the guard taint (classic implicit-flow
 // handling), so derived flags over-approximate any single concrete run.
 // Precision: against this repo's kernels the derivation is exact — the
-// cross-validation test requires derived == declared == oracle-observed
-// for every zoo cell.
+// cross-validation tests require derived == oracle-observed for every zoo
+// cell.
 #pragma once
 
 #include <cstddef>
@@ -50,14 +50,11 @@ struct Witness {
 
 /// The result of symbolically executing one layer's kernel model.
 struct DerivedContract {
-  /// False when the layer has no symbolic model (Layer-base default
-  /// called SymbolicExecutor::unmodeled) — nothing below is meaningful.
-  bool modeled = false;
-  std::string unmodeled_reason;
   /// The contract the *code* makes: variance flags from arm diffing,
   /// consumes_rng from rng_draw, taint from the output buffer's final
-  /// secrecy.  shape_scales_trace is never derived (it is informational
-  /// and shape-level, outside this fixed-shape domain).
+  /// secrecy, shape_scales_trace from a second run one step longer (see
+  /// derive_layer_contract).  LeakageContract::undeclared() when the
+  /// layer has no symbolic model.
   nn::LeakageContract contract;
   /// First witness per derived aspect, in discovery order.
   std::vector<Witness> witnesses;
@@ -97,11 +94,17 @@ class SymbolicEngine final : public nn::kernels::SymbolicExecutor {
                const std::function<void()>& else_arm) override;
 
   nn::kernels::SymValue rng_draw(const nn::kernels::SymSite& site) override;
-  void unmodeled(const char* why) override;
+  void unmodeled() override;
 
   /// Fold the accumulated facts into a DerivedContract stamped with
   /// `path`.  Call once, after the model returned.
   DerivedContract finish(nn::ExecutionPath path) const;
+
+  /// Total instructions retired and structural branches reported, over
+  /// both arms of every if_else: the trace volume two runs of one model
+  /// at different input shapes are compared by.
+  std::uint64_t retired() const { return retired_; }
+  std::uint64_t structural() const { return structural_; }
 
  private:
   /// One memory access: (buffer, element, is_store).  SIZE_MAX as the
@@ -140,13 +143,21 @@ class SymbolicEngine final : public nn::kernels::SymbolicExecutor {
   bool instruction_count_ = false;
   bool rng_ = false;
   bool unmodeled_ = false;
-  std::string unmodeled_reason_;
+  std::uint64_t retired_ = 0;
+  std::uint64_t structural_ = 0;
   std::vector<Witness> witnesses_;
 };
 
 /// Run `layer`'s symbolic model for inputs of `input_shape` under
 /// (mode, path) and return what the code itself claims.  Never throws on
-/// an unmodeled layer — that comes back as modeled == false.
+/// an unmodeled layer — that comes back as LeakageContract::undeclared().
+///
+/// shape_scales_trace: the model runs again on an input one step longer
+/// along the first dimension whose growth output_shape accepts without
+/// changing the output shape (an RNN's timestep axis); the flag is set
+/// when the retired or structural totals of the two runs differ.  A
+/// layer with no such dimension (every shape change either throws or
+/// reshapes its output) does not scale.
 DerivedContract derive_layer_contract(
     const nn::Layer& layer, const std::vector<std::size_t>& input_shape,
     nn::KernelMode mode, nn::ExecutionPath path);

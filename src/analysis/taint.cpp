@@ -7,7 +7,7 @@ std::string to_string(Taint taint) {
 }
 
 Taint propagate(Taint input, const nn::LeakageContract& contract) {
-  if (contract.declared && contract.taint == nn::TaintTransfer::kSanitize)
+  if (contract.taint == nn::TaintTransfer::kSanitize)
     return Taint::kClean;
   return input;
 }

@@ -23,9 +23,9 @@ std::string to_string(Taint taint);
 /// meet; a Sequential chain only ever joins a value with itself.
 inline Taint join(Taint a, Taint b) { return a < b ? b : a; }
 
-/// Output taint of a layer given its input taint and declared transfer.
-/// kSanitize clears taint (output independent of input values); an
-/// undeclared contract conservatively propagates.
+/// Output taint of a layer given its input taint and derived transfer.
+/// kSanitize clears taint (output independent of input values); the
+/// worst-case contract of a layer with no symbolic model propagates.
 Taint propagate(Taint input, const nn::LeakageContract& contract);
 
 }  // namespace sce::analysis

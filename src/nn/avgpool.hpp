@@ -27,14 +27,8 @@ class AvgPool2D final : public Layer {
 
   std::size_t window() const { return window_; }
 
-  /// Constant-footprint reduction in both modes: fixed loads, fixed
-  /// arithmetic, no data-dependent branches anywhere.
-  using Layer::leakage_contract;
-  LeakageContract leakage_contract(KernelMode mode) const override;
-
-  /// Same constant-footprint reduction on the fast path.
-  LeakageContract fast_leakage_contract(KernelMode mode) const override;
-
+  /// Constant-footprint reduction in both modes, on both paths: fixed
+  /// loads, fixed arithmetic, no data-dependent branches anywhere.
   void symbolic_forward(kernels::SymbolicExecutor& exec,
                         const std::vector<std::size_t>& input_shape,
                         KernelMode mode, ExecutionPath path) const override;

@@ -50,24 +50,13 @@ class Conv2D final : public Layer {
   ConvAlgorithm algorithm() const { return algorithm_; }
   void set_algorithm(ConvAlgorithm algorithm) { algorithm_ = algorithm; }
 
-  /// Data-dependent: zero-skipping elides the weight load and MAC behind
-  /// a per-element branch — the address stream and instruction count
-  /// track the input's sparsity pattern, though the branch *count* is
-  /// fixed (the skip test itself always executes).  Holds for both the
-  /// direct loop nest and the im2col GEMM (the im2col gather itself is a
-  /// fixed pattern; only the GEMM inner loop skips).  Constant-flow:
-  /// every element does full work.
-  using Layer::leakage_contract;
-  LeakageContract leakage_contract(KernelMode mode) const override;
-
-  /// The fast GEMM has no data-dependent branches in either mode (the
-  /// zero skip is a lane blend), but in data-dependent mode its *results*
-  /// are still pinned to the skipping semantics — the claims below
-  /// describe the generated code, and are never oracle-verified.
-  LeakageContract fast_leakage_contract(KernelMode mode) const override;
-
   /// Replays the (mode, path, algorithm) conv kernel's loop nest over
-  /// the symbolic domain (kernels::conv2d_symbolic).
+  /// the symbolic domain (kernels::conv2d_symbolic).  Data-dependent:
+  /// zero-skipping elides the weight load and MAC behind a per-element
+  /// branch, so the address stream and instruction count track the
+  /// input's sparsity while the branch *count* stays fixed, for both the
+  /// direct loop nest and the im2col GEMM.  The fast GEMM's zero skip is
+  /// a lane blend: no data-dependent branch in either mode.
   void symbolic_forward(kernels::SymbolicExecutor& exec,
                         const std::vector<std::size_t>& input_shape,
                         KernelMode mode, ExecutionPath path) const override;

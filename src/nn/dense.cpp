@@ -65,23 +65,6 @@ void Dense::visit_buffers(const BufferVisitor& visit) const {
   visit("bias", bias_.data(), bias_.size() * sizeof(float));
 }
 
-LeakageContract Dense::leakage_contract(KernelMode mode) const {
-  LeakageContract c;
-  if (mode == KernelMode::kDataDependent) {
-    c.branch_outcomes_vary = true;
-    c.branch_count_varies = true;
-    c.address_stream_varies = true;
-    c.instruction_count_varies = true;
-  }
-  return c;
-}
-
-LeakageContract Dense::fast_leakage_contract(KernelMode mode) const {
-  // The row skip survives as a scalar branch on the fast path (it elides
-  // whole weight-row loads), so data-dependent mode leaks there too.
-  return leakage_contract(mode);
-}
-
 void Dense::symbolic_forward(kernels::SymbolicExecutor& exec,
                              const std::vector<std::size_t>& /*input_shape*/,
                              KernelMode mode, ExecutionPath path) const {

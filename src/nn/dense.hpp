@@ -36,18 +36,11 @@ class Dense final : public Layer {
   std::size_t in_features() const { return in_; }
   std::size_t out_features() const { return out_; }
 
-  /// Data-dependent: the sparse-GEMM row skip elides a whole weight row
-  /// — its loads, its inner-loop back-edges and its MACs — so every
-  /// trace aspect varies with the input's zero pattern.  The strongest
-  /// single leak source in the model.  Constant-flow: dense GEMM.
-  using Layer::leakage_contract;
-  LeakageContract leakage_contract(KernelMode mode) const override;
-
-  /// The fast GEMV keeps the per-input row-skip *branch* in
-  /// data-dependent mode (it elides whole weight rows, like the scalar
-  /// kernel), so that mode stays leaky on the fast path too.
-  LeakageContract fast_leakage_contract(KernelMode mode) const override;
-
+  /// Symbolic model of the (mode, path) kernel.  Data-dependent: the
+  /// sparse-GEMM row skip elides a whole weight row (its loads, inner-loop
+  /// back-edges and MACs), and the fast GEMV keeps it as a scalar branch,
+  /// so every trace aspect varies with the input's zero pattern on both
+  /// paths.  Constant-flow: dense GEMM.
   void symbolic_forward(kernels::SymbolicExecutor& exec,
                         const std::vector<std::size_t>& input_shape,
                         KernelMode mode, ExecutionPath path) const override;

@@ -28,14 +28,9 @@ class Dropout final : public Layer {
 
   float rate() const { return rate_; }
 
-  /// Inference is the identity and emits no trace: constant-flow in both
-  /// modes, and — crucially — no RNG draw (the mask is a training-only
-  /// construct), so the RNG contract must not fire on deployed models.
-  using Layer::leakage_contract;
-  LeakageContract leakage_contract(KernelMode mode) const override;
-  LeakageContract fast_leakage_contract(KernelMode mode) const override;
-
-  /// Identity at inference: a traceless copy that draws no randomness.
+  /// Identity at inference: a traceless copy that draws no randomness
+  /// (the mask is a training-only construct), so the RNG finding does
+  /// not fire on deployed models.
   void symbolic_forward(kernels::SymbolicExecutor& exec,
                         const std::vector<std::size_t>& input_shape,
                         KernelMode mode, ExecutionPath path) const override;

@@ -5,9 +5,8 @@
 // (shapes come from the InferencePlan's shape inference), so one run
 // covers every input of that shape, and the engine behind the executor
 // (src/analysis/symexec) decides which trace aspects *can* vary with the
-// secret input.  The derived LeakageContract is compared against the
-// hand-declared one: a lying or stale declaration becomes a static lint
-// failure instead of waiting for the dynamic oracle.
+// secret input.  The derived LeakageContract is the layer's contract: a
+// kernel edit changes it, and the dynamic trace oracle checks it.
 //
 // Two sources, one per execution path:
 //  * Instrumented: the kernels themselves.  Each *_instrumented.cpp
@@ -153,7 +152,7 @@ class SymbolicExecutor {
 
   /// Called by Layer::symbolic_forward's base default: this layer has no
   /// symbolic model, so nothing can be derived for it.
-  virtual void unmodeled(const char* why) = 0;
+  virtual void unmodeled() = 0;
 };
 
 /// Symbolic derivation, one entry per registered op, covering both modes

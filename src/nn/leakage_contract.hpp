@@ -1,13 +1,14 @@
-// Per-kernel leakage contracts: static metadata describing how a layer's
-// instrumented inference kernel behaves as a function of its input, per
-// KernelMode — the vocabulary the static analyzer (src/analysis) composes
-// into whole-model verdicts without executing anything.
+// Per-kernel leakage contracts: how a layer's inference kernel behaves as
+// a function of its input, per (KernelMode, ExecutionPath) — the
+// vocabulary the static analyzer (src/analysis) composes into whole-model
+// verdicts without executing anything.  Contracts are derived from the
+// kernels by symbolic execution (analysis/symexec), never written by hand.
 //
 // Each flag makes a falsifiable claim about the kernel's dynamic trace
 // (the TraceSink event stream) and is cross-validated against the uarch
-// trace oracle in tests/analysis: a declared-varying aspect must actually
-// vary across probe inputs, and a declared-invariant aspect must be
-// bit-identical for every input of the same shape.
+// trace oracle: a derived-varying aspect must actually vary across probe
+// inputs, and a derived-invariant aspect must be bit-identical for every
+// input of the same shape.
 #pragma once
 
 #include <string>
@@ -49,25 +50,25 @@ struct LeakageContract {
   bool consumes_rng = false;
   /// Trace length scales with the input *shape* (RNN timesteps): benign
   /// under a fixed-shape plan, but variable-length deployments broadcast
-  /// their length.  Informational; the fixed-shape oracle cannot check it.
+  /// their length.  Informational; derived by re-running the symbolic
+  /// model one step longer, which the fixed-shape oracle cannot check.
   bool shape_scales_trace = false;
   /// How secret taint flows through this layer.
   TaintTransfer taint = TaintTransfer::kPropagate;
-  /// False for the conservative Layer-base default: the layer never
-  /// declared a contract, so the analyzer must assume the worst.
+  /// False when the layer has no symbolic kernel model (the Layer-base
+  /// default), so nothing could be derived and the analyzer must assume
+  /// the worst.
   bool declared = true;
   /// Which execution path these claims describe.  Only the instrumented
   /// path emits trace events, so only its contracts can be (and are)
   /// cross-validated by the uarch trace oracle; fast-path contracts are
-  /// honest static descriptions of the generated code that the analyzer
-  /// must report as unverified rather than silently trusting.
+  /// derived from a model of the generated code, which the analyzer
+  /// anchors to the instrumented contract or reports as unverified.
   ExecutionPath path = ExecutionPath::kInstrumented;
-  /// Verification metadata, stamped by the analyzer (never declared by a
-  /// layer): the symbolic verifier derived this contract from the kernel
-  /// code, matched it against the declaration, and — on the fast path —
-  /// anchored it to the oracle-validated instrumented contract via
-  /// refinement.  Excluded from operator== (it describes our confidence
-  /// in the claims, not the claims themselves).
+  /// Verification metadata, stamped by the analyzer: on the fast path,
+  /// this contract refines the oracle-validated instrumented contract of
+  /// the same layer.  Excluded from operator== (it describes our
+  /// confidence in the claims, not the claims themselves).
   bool symbolically_verified = false;
 
   /// True if any per-input trace aspect varies (RNG aside).
@@ -76,8 +77,8 @@ struct LeakageContract {
            address_stream_varies || instruction_count_varies;
   }
 
-  /// A kernel with no input dependence, no RNG draw and declared
-  /// metadata is constant-flow: its trace is a pure function of shape.
+  /// A kernel with no input dependence and no RNG draw is constant-flow:
+  /// its trace is a pure function of shape.
   bool constant_flow() const { return !input_dependent() && !consumes_rng; }
 
   /// True when the trace oracle can falsify these claims: it replays the
@@ -94,7 +95,7 @@ struct LeakageContract {
 
   /// Fully invariant kernel (the countermeasure claim).
   static LeakageContract constant();
-  /// Worst-case contract used when a layer declares nothing.
+  /// Worst-case contract used when a layer has no symbolic model.
   static LeakageContract undeclared();
 };
 

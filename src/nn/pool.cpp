@@ -37,17 +37,6 @@ void MaxPool2D::forward_into(const Tensor& input, Tensor& output,
     kernels::maxpool2d_instrumented(shape, sink, mode);
 }
 
-LeakageContract MaxPool2D::leakage_contract(KernelMode mode) const {
-  LeakageContract c;
-  if (mode == KernelMode::kDataDependent) c.branch_outcomes_vary = true;
-  return c;
-}
-
-LeakageContract MaxPool2D::fast_leakage_contract(KernelMode /*mode*/) const {
-  // The windowed max compiles to cmov/maxss on the fast path.
-  return LeakageContract{};
-}
-
 void MaxPool2D::symbolic_forward(kernels::SymbolicExecutor& exec,
                                  const std::vector<std::size_t>& input_shape,
                                  KernelMode mode, ExecutionPath path) const {

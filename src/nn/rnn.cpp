@@ -98,24 +98,6 @@ void ElmanRNN::visit_buffers(const BufferVisitor& visit) const {
   visit("bias", bias_.data(), bias_.size() * sizeof(float));
 }
 
-LeakageContract ElmanRNN::leakage_contract(KernelMode mode) const {
-  LeakageContract c;
-  c.shape_scales_trace = true;  // trace length ∝ timestep count, both modes
-  if (mode == KernelMode::kDataDependent) {
-    c.branch_outcomes_vary = true;
-    c.branch_count_varies = true;
-    c.address_stream_varies = true;
-    c.instruction_count_varies = true;
-  }
-  return c;
-}
-
-LeakageContract ElmanRNN::fast_leakage_contract(KernelMode mode) const {
-  // Row skips survive as scalar branches on the fast path, and the
-  // per-timestep scaling is inherent to the recurrence.
-  return leakage_contract(mode);
-}
-
 void ElmanRNN::symbolic_forward(kernels::SymbolicExecutor& exec,
                                 const std::vector<std::size_t>& input_shape,
                                 KernelMode mode, ExecutionPath path) const {

@@ -38,19 +38,12 @@ class ElmanRNN final : public Layer {
   std::size_t input_dim() const { return input_dim_; }
   std::size_t hidden_dim() const { return hidden_dim_; }
 
-  /// Data-dependent: zero-skipping on both weight matrices (input rows
-  /// and ReLU-sparse hidden rows) plus the recurrent sign branch — every
-  /// trace aspect varies.  In both modes the trace additionally scales
-  /// with the timestep count, so variable-length deployments broadcast
-  /// their sequence length even under the countermeasure.
-  using Layer::leakage_contract;
-  LeakageContract leakage_contract(KernelMode mode) const override;
-
-  /// The fast kernel keeps the row-skip branches in data-dependent mode
-  /// (and the timestep scaling in both), so its claims match the
-  /// instrumented ones.
-  LeakageContract fast_leakage_contract(KernelMode mode) const override;
-
+  /// Symbolic model of the (mode, path) kernel.  Data-dependent:
+  /// zero-skipping on both weight matrices (input rows and ReLU-sparse
+  /// hidden rows) plus the recurrent sign branch, so every trace aspect
+  /// varies, on both paths.  In both modes the trace also scales with the
+  /// timestep count, so variable-length deployments broadcast their
+  /// sequence length even under the countermeasure.
   void symbolic_forward(kernels::SymbolicExecutor& exec,
                         const std::vector<std::size_t>& input_shape,
                         KernelMode mode, ExecutionPath path) const override;

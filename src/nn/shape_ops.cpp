@@ -29,14 +29,6 @@ void Flatten::forward_into(const Tensor& input, Tensor& output,
   std::copy(input.data(), input.data() + input.numel(), output.data());
 }
 
-LeakageContract Flatten::leakage_contract(KernelMode /*mode*/) const {
-  return LeakageContract::constant();
-}
-
-LeakageContract Flatten::fast_leakage_contract(KernelMode /*mode*/) const {
-  return LeakageContract::constant();
-}
-
 void Flatten::symbolic_forward(kernels::SymbolicExecutor& exec,
                                const std::vector<std::size_t>& input_shape,
                                KernelMode /*mode*/,
@@ -78,14 +70,6 @@ void Softmax::forward_into(const Tensor& input, Tensor& output,
     kernels::softmax_fast(input.data(), output.data(), n);
   else
     kernels::softmax_instrumented(input.data(), output.data(), n, sink);
-}
-
-LeakageContract Softmax::leakage_contract(KernelMode /*mode*/) const {
-  return LeakageContract::constant();
-}
-
-LeakageContract Softmax::fast_leakage_contract(KernelMode /*mode*/) const {
-  return LeakageContract::constant();
 }
 
 void Softmax::symbolic_forward(kernels::SymbolicExecutor& exec,

@@ -174,16 +174,4 @@ class TeeSink final : public TraceSink {
   std::vector<TraceSink*> sinks_;
 };
 
-/// Helper macro giving each instrumented branch site a unique, stable
-/// pseudo-PC (the address of a function-local static), so branch
-/// predictors can index their tables the way real hardware indexes by
-/// instruction address.  The nn kernels name their sites with
-/// SCE_KERNEL_SITE (nn/kernels/domain.hpp) instead, whose pcs do not
-/// depend on the sink type a kernel template is instantiated over.
-#define SCE_BRANCH_SITE()                                      \
-  ([]() -> std::uintptr_t {                                    \
-    static const char site_anchor = 0;                         \
-    return reinterpret_cast<std::uintptr_t>(&site_anchor);     \
-  }())
-
 }  // namespace sce::uarch

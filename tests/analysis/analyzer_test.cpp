@@ -1,5 +1,5 @@
 // PlanAnalyzer: taint propagation, verdict composition, edge cases
-// (empty model, single layer, undeclared layers, RNG consumers) and the
+// (empty model, single layer, unmodeled layers, RNG consumers) and the
 // text/JSON report renderers.
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@ namespace {
 
 using nn::KernelMode;
 using testing::LeakyProbeLayer;
+using testing::RngMaskLayer;
 using testing::SanitizingLayer;
 using testing::UndeclaredLayer;
 
@@ -109,7 +110,7 @@ TEST(PlanAnalyzer, UndeclaredLayerIsConservative) {
   EXPECT_FALSE(report.findings[0].contract.declared);
   EXPECT_EQ(report.findings[0].severity, Severity::kError);
   EXPECT_EQ(report.undeclared_layers, 1u);
-  // Worst case even in the hardened mode: the layer never said.
+  // Worst case even in the hardened mode: nothing was derived.
   EXPECT_EQ(report.verdict, Verdict::kLeaksAddresses);
   EXPECT_TRUE(report.fails(Verdict::kLeaksControlFlow));
   // fail_on_undeclared trips the gate even at an unreachable threshold.
@@ -119,8 +120,7 @@ TEST(PlanAnalyzer, UndeclaredLayerIsConservative) {
 
 TEST(PlanAnalyzer, RngConsumptionIsReportedNotEscalated) {
   nn::Sequential model;
-  model.add(std::make_unique<LeakyProbeLayer>(/*lie_constant=*/true,
-                                              /*claim_rng=*/true));
+  model.add(std::make_unique<RngMaskLayer>());
   const AnalysisReport report = PlanAnalyzer().analyze(
       model, {4}, KernelMode::kDataDependent, "masked");
   EXPECT_EQ(report.rng_layers, 1u);

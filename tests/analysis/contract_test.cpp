@@ -1,12 +1,13 @@
-// LeakageContract semantics plus the per-layer µarch trace oracle:
-// every contract declared in src/nn must agree, claim by claim, with the
-// variance the RecordingSink actually observes across probe inputs.
+// LeakageContract semantics plus the per-layer µarch trace oracle: every
+// contract derived from a src/nn kernel must agree, claim by claim, with
+// the variance the RecordingSink actually observes across probe inputs.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "analysis/events.hpp"
 #include "analysis/oracle.hpp"
+#include "analysis/symexec/engine.hpp"
 #include "nn/activation.hpp"
 #include "nn/avgpool.hpp"
 #include "nn/conv.hpp"
@@ -22,6 +23,7 @@
 namespace sce::analysis {
 namespace {
 
+using nn::ExecutionPath;
 using nn::KernelMode;
 using nn::LeakageContract;
 using testing::LeakyProbeLayer;
@@ -44,46 +46,66 @@ TEST(LeakageContract, UndeclaredIsWorstCase) {
   EXPECT_TRUE(c.input_dependent());
 }
 
+/// The contract derived from `layer`'s instrumented kernel in `mode`.
+LeakageContract derived(const nn::Layer& layer,
+                        const std::vector<std::size_t>& shape,
+                        KernelMode mode,
+                        ExecutionPath path = ExecutionPath::kInstrumented) {
+  return symexec::derive_layer_contract(layer, shape, mode, path).contract;
+}
+
 TEST(LeakageContract, BaseLayerDefaultIsUndeclared) {
+  // The base symbolic_forward reports the layer unmodeled: nothing is
+  // derived, so the contract is the worst case on either path.
   UndeclaredLayer layer;
-  EXPECT_EQ(layer.leakage_contract(KernelMode::kDataDependent),
-            LeakageContract::undeclared());
-  EXPECT_EQ(layer.leakage_contract(KernelMode::kConstantFlow),
-            LeakageContract::undeclared());
+  for (KernelMode mode :
+       {KernelMode::kDataDependent, KernelMode::kConstantFlow}) {
+    for (ExecutionPath path :
+         {ExecutionPath::kInstrumented, ExecutionPath::kFast}) {
+      LeakageContract expected = LeakageContract::undeclared();
+      expected.path = path;
+      EXPECT_EQ(derived(layer, {4}, mode, path), expected);
+    }
+  }
 }
 
 TEST(LeakageContract, EveryLibraryLayerIsConstantInConstantFlowMode) {
-  const std::vector<std::unique_ptr<nn::Layer>> layers = [] {
-    std::vector<std::unique_ptr<nn::Layer>> v;
-    v.push_back(std::make_unique<nn::Conv2D>(1, 2, 3));
-    v.push_back(std::make_unique<nn::ReLU>());
-    v.push_back(std::make_unique<nn::MaxPool2D>(2));
-    v.push_back(std::make_unique<nn::AvgPool2D>(2));
-    v.push_back(std::make_unique<nn::Flatten>());
-    v.push_back(std::make_unique<nn::Dense>(8, 4));
-    v.push_back(std::make_unique<nn::Softmax>());
-    v.push_back(std::make_unique<nn::Dropout>(0.5f));
-    v.push_back(std::make_unique<nn::ElmanRNN>(8, 4));
-    return v;
-  }();
-  for (const auto& layer : layers) {
-    const LeakageContract c =
-        layer->leakage_contract(KernelMode::kConstantFlow);
-    EXPECT_TRUE(c.declared) << layer->name();
-    EXPECT_FALSE(c.input_dependent())
-        << layer->name() << " claims input dependence under constant-flow";
-    EXPECT_FALSE(c.consumes_rng) << layer->name();
+  struct Case {
+    std::unique_ptr<nn::Layer> layer;
+    std::vector<std::size_t> shape;
+  };
+  std::vector<Case> cases;
+  cases.push_back({std::make_unique<nn::Conv2D>(1, 2, 3), {1, 6, 6}});
+  cases.push_back({std::make_unique<nn::ReLU>(), {8}});
+  cases.push_back({std::make_unique<nn::MaxPool2D>(2), {1, 4, 4}});
+  cases.push_back({std::make_unique<nn::AvgPool2D>(2), {1, 4, 4}});
+  cases.push_back({std::make_unique<nn::Flatten>(), {2, 3, 4}});
+  cases.push_back({std::make_unique<nn::Dense>(8, 4), {8}});
+  cases.push_back({std::make_unique<nn::Softmax>(), {10}});
+  cases.push_back({std::make_unique<nn::Dropout>(0.5f), {8}});
+  cases.push_back({std::make_unique<nn::ElmanRNN>(8, 4), {3, 8}});
+  for (const Case& c : cases) {
+    for (ExecutionPath path :
+         {ExecutionPath::kInstrumented, ExecutionPath::kFast}) {
+      const LeakageContract contract =
+          derived(*c.layer, c.shape, KernelMode::kConstantFlow, path);
+      EXPECT_TRUE(contract.declared) << c.layer->name();
+      EXPECT_FALSE(contract.input_dependent())
+          << c.layer->name() << " derives input dependence under "
+          << "constant-flow on the " << to_string(path) << " path";
+      EXPECT_FALSE(contract.consumes_rng) << c.layer->name();
+    }
   }
 }
 
 TEST(LeakageContract, DropoutDrawsNoRngAtInference) {
   // Dropout is identity at inference time: no randomness is consumed in
-  // either mode (contract), and the dynamic trace is input-invariant
+  // either mode (derived contract), and the dynamic trace is input-invariant
   // (oracle) — the RNG finding must not fire for it.
   nn::Dropout dropout(0.5f);
   for (KernelMode mode :
        {KernelMode::kDataDependent, KernelMode::kConstantFlow}) {
-    EXPECT_FALSE(dropout.leakage_contract(mode).consumes_rng);
+    EXPECT_FALSE(derived(dropout, {4, 6}, mode).consumes_rng);
     const TraceVariance observed =
         probe_layer(dropout, default_probes({4, 6}), mode);
     EXPECT_FALSE(observed.any());
@@ -91,23 +113,24 @@ TEST(LeakageContract, DropoutDrawsNoRngAtInference) {
 }
 
 // The heart of the cross-validation: for each library layer and each
-// kernel mode, observed trace variance must equal the declared contract
-// flag-for-flag.  A contract that over-claims or under-claims fails here.
+// kernel mode, observed trace variance must equal the contract derived
+// from the kernel flag-for-flag.  A symbolic model that over-claims or
+// under-claims its kernel fails here.
 void expect_contract_matches_oracle(const nn::Layer& layer,
                                     const std::vector<std::size_t>& shape) {
   for (KernelMode mode :
        {KernelMode::kDataDependent, KernelMode::kConstantFlow}) {
-    const LeakageContract declared = layer.leakage_contract(mode);
-    ASSERT_TRUE(declared.declared) << layer.name();
+    const LeakageContract contract = derived(layer, shape, mode);
+    ASSERT_TRUE(contract.declared) << layer.name();
     const TraceVariance observed =
         probe_layer(layer, default_probes(shape), mode);
-    EXPECT_EQ(declared.branch_outcomes_vary, observed.branch_outcomes)
+    EXPECT_EQ(contract.branch_outcomes_vary, observed.branch_outcomes)
         << layer.name() << " branch outcomes, " << to_string(mode);
-    EXPECT_EQ(declared.branch_count_varies, observed.branch_count)
+    EXPECT_EQ(contract.branch_count_varies, observed.branch_count)
         << layer.name() << " branch count, " << to_string(mode);
-    EXPECT_EQ(declared.address_stream_varies, observed.address_stream)
+    EXPECT_EQ(contract.address_stream_varies, observed.address_stream)
         << layer.name() << " address stream, " << to_string(mode);
-    EXPECT_EQ(declared.instruction_count_varies, observed.instruction_count)
+    EXPECT_EQ(contract.instruction_count_varies, observed.instruction_count)
         << layer.name() << " instruction count, " << to_string(mode);
   }
 }
@@ -157,12 +180,12 @@ TEST(ContractOracle, ElmanRNN) {
   rnn.initialize(rng);
   expect_contract_matches_oracle(rnn, {1, 5, 6});
   // shape_scales_trace is the one claim the fixed-shape oracle cannot
-  // falsify; assert it is declared (both modes) since an RNN's trace
+  // falsify; assert it is derived (both modes) since an RNN's trace
   // length broadcasts the sequence length.
   EXPECT_TRUE(
-      rnn.leakage_contract(KernelMode::kDataDependent).shape_scales_trace);
+      derived(rnn, {1, 5, 6}, KernelMode::kDataDependent).shape_scales_trace);
   EXPECT_TRUE(
-      rnn.leakage_contract(KernelMode::kConstantFlow).shape_scales_trace);
+      derived(rnn, {1, 5, 6}, KernelMode::kConstantFlow).shape_scales_trace);
 }
 
 TEST(ContractOracle, HonestLeakyLayerPasses) {
@@ -177,15 +200,18 @@ TEST(ContractOracle, HonestLeakyLayerPasses) {
 }
 
 TEST(ContractOracle, LyingConstantContractIsCaught) {
-  // A kernel that branches on its input but declares constant-flow: the
-  // oracle must observe branch-outcome variance the contract denies.
+  // A kernel that branches on its input, with a symbolic model that
+  // reports the branch on a public predicate: the derived contract is
+  // constant-flow, and the oracle must observe the branch-outcome
+  // variance it denies.
   LeakyProbeLayer liar(/*lie_constant=*/true);
-  const LeakageContract declared =
-      liar.leakage_contract(KernelMode::kDataDependent);
-  EXPECT_TRUE(declared.constant_flow());
+  const LeakageContract contract =
+      derived(liar, {8}, KernelMode::kDataDependent);
+  EXPECT_TRUE(contract.declared);
+  EXPECT_TRUE(contract.constant_flow());
   const TraceVariance observed =
       probe_layer(liar, default_probes({8}), KernelMode::kDataDependent);
-  EXPECT_TRUE(observed.branch_outcomes);  // declared false, observed true
+  EXPECT_TRUE(observed.branch_outcomes);  // derived false, observed true
 }
 
 TEST(Events, VerdictLattice) {

@@ -1,8 +1,9 @@
 // Static-vs-dynamic cross-validation over the model zoo: for every
-// architecture and both kernel modes, the per-layer contracts (and hence
-// the analyzer's verdict) must agree with the µarch trace oracle, and
-// the whole-model planned trace must behave the way the verdict says —
-// bit-identical across inputs when constant-flow, input-varying when not.
+// architecture and both kernel modes, the per-layer derived contracts
+// (and hence the analyzer's verdict) must agree with the µarch trace
+// oracle, and the whole-model planned trace must behave the way the
+// verdict says — bit-identical across inputs when constant-flow,
+// input-varying when not.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -51,11 +52,11 @@ TEST(CrossValidation, EveryZooModelAgreesWithOracle) {
         ADD_FAILURE() << e.name << " (" << to_string(mode) << ") layer "
                       << m.layer_index << " " << m.layer_name << ": "
                       << m.detail;
-      // Every zoo layer declares a contract, so nothing was skipped.
-      EXPECT_TRUE(
-          cross_check_model(e.model, e.input_shape, mode,
-                            /*report_undeclared=*/true)
-              .empty())
+      // Every zoo layer has a symbolic model, so the oracle skipped none.
+      EXPECT_EQ(PlanAnalyzer()
+                    .analyze(e.model, e.input_shape, mode, e.name)
+                    .undeclared_layers,
+                0u)
           << e.name;
     }
   }
@@ -79,8 +80,8 @@ TEST(CrossValidation, ZooVerdictsMatchTheThreatModel) {
 }
 
 TEST(CrossValidation, LyingLayerInAModelIsCaught) {
-  // The deliberately leaky custom layer with a constant-flow contract:
-  // cross_check_model must report exactly its branch-outcome claim.
+  // The deliberately leaky custom layer whose model derives constant
+  // flow: cross_check_model must report exactly its branch-outcome claim.
   nn::Sequential model;
   model.add(std::make_unique<LeakyProbeLayer>(/*lie_constant=*/true));
   const auto mismatches =
@@ -94,14 +95,17 @@ TEST(CrossValidation, LyingLayerInAModelIsCaught) {
 }
 
 TEST(CrossValidation, UndeclaredLayersAreSkippedUnlessReported) {
+  // A layer with no symbolic model has only the worst-case contract,
+  // which no trace can falsify: the oracle skips it, and the analyzer's
+  // tally is what reports it.
   nn::Sequential model;
   model.add(std::make_unique<UndeclaredLayer>());
   EXPECT_TRUE(
       cross_check_model(model, {4}, KernelMode::kDataDependent).empty());
-  const auto reported = cross_check_model(
-      model, {4}, KernelMode::kDataDependent, /*report_undeclared=*/true);
-  ASSERT_EQ(reported.size(), 1u);
-  EXPECT_EQ(reported[0].layer_name, "undeclared");
+  const AnalysisReport report = PlanAnalyzer().analyze(
+      model, {4}, KernelMode::kDataDependent, "unmodeled");
+  EXPECT_EQ(report.undeclared_layers, 1u);
+  EXPECT_EQ(report.findings[0].layer_name, "undeclared");
 }
 
 bool same_trace(const uarch::RecordingSink& a,

@@ -1,15 +1,15 @@
-// Symbolic kernel verifier: the static half of contract verification.
+// Symbolic kernel verifier: every layer's contract is derived from its
+// kernel code.
 //
 // These tests pin the three integration claims of the symbolic engine:
 // (1) every registered kernel cell has a symbolic model, so nothing
-// ships unanalyzed; (2) the derived contracts agree with the declared
-// ones for every zoo layer in every (mode, path) cell — and, on the
-// instrumented path, with what the dynamic trace oracle actually
-// observes; (3) the fast path is symbolically verified end to end,
-// closing the oracle-unverified gap.  Plus the edge cases the abstract
-// domain must not trip over: degenerate geometries, sanitizing layers,
-// RNG draws, and a deliberately lying declaration caught with no
-// execution at all.
+// ships unanalyzed; (2) every zoo layer's contract is derived in every
+// (mode, path) cell and, on the instrumented path, agrees with what the
+// dynamic trace oracle actually observes; (3) the fast path is
+// symbolically verified end to end, closing the oracle-unverified gap.
+// Plus the edge cases the abstract domain must not trip over: degenerate
+// geometries, sanitizing layers, RNG draws, shape-scaled traces, an
+// unmodeled layer, and lying models the oracle catches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +31,7 @@
 #include "nn/pool.hpp"
 #include "nn/rnn.hpp"
 #include "nn/zoo.hpp"
+#include "tests/analysis/analysis_test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace sce::analysis::symexec {
@@ -38,6 +39,10 @@ namespace {
 
 using nn::ExecutionPath;
 using nn::KernelMode;
+using testing::LeakyProbeLayer;
+using testing::RngMaskLayer;
+using testing::SanitizingLayer;
+using testing::UndeclaredLayer;
 
 constexpr KernelMode kModes[] = {KernelMode::kDataDependent,
                                  KernelMode::kConstantFlow};
@@ -63,7 +68,7 @@ std::vector<ZooEntry> zoo() {
 // ---------------------------------------------------------------------
 // Registry completeness: a kernel cell without a symbolic model is a
 // hole in the static story, and must be a test failure, not a silent
-// fallback to trusting the declaration.
+// fallback to the worst case.
 
 TEST(SymbolicRegistry, CoversEveryRegisteredKernelCell) {
   const auto kernels = nn::kernels::all_kernels();
@@ -83,24 +88,54 @@ TEST(SymbolicRegistry, UnknownCellsAreAbsent) {
 }
 
 // ---------------------------------------------------------------------
-// Zoo-wide derived == declared, all four (mode, path) cells.
+// Zoo-wide: every layer's contract is derived, all four (mode, path)
+// cells.
 
-TEST(SymbolicDerivation, ZooDerivedContractsMatchDeclared) {
+TEST(SymbolicDerivation, ZooContractsAreAllDerived) {
   for (const ZooEntry& e : zoo()) {
     for (KernelMode mode : kModes) {
       for (ExecutionPath path : kPaths) {
         const AnalysisReport report = PlanAnalyzer().analyze(
             e.model, e.input_shape, mode, e.name, path);
-        EXPECT_EQ(report.mismatched_contracts, 0u)
+        EXPECT_EQ(report.undeclared_layers, 0u)
             << e.name << " " << nn::to_string(mode) << " "
             << nn::to_string(path);
-        EXPECT_EQ(report.underived_layers, 0u) << e.name;
         for (const LayerFinding& f : report.findings) {
-          EXPECT_TRUE(f.derived_available)
+          EXPECT_TRUE(f.contract.declared)
               << e.name << " layer #" << f.index << " " << f.layer_name;
-          EXPECT_TRUE(f.derived_matches)
+          EXPECT_EQ(f.contract.path, path) << e.name << " " << f.layer_name;
+        }
+      }
+    }
+  }
+}
+
+// shape_scales_trace is derived by re-running a model one step longer
+// along a dimension the layer accepts without changing its output shape:
+// only the RNN's timestep axis qualifies and changes the trace volume.
+TEST(SymbolicDerivation, ShapeScalesTraceOnlyForTheRnn) {
+  const nn::ElmanRNN rnn(8, 4);
+  for (KernelMode mode : kModes) {
+    for (ExecutionPath path : kPaths) {
+      for (const std::vector<std::size_t>& shape :
+           {std::vector<std::size_t>{16, 8},
+            std::vector<std::size_t>{1, 16, 8}}) {
+        EXPECT_TRUE(derive_layer_contract(rnn, shape, mode, path)
+                        .contract.shape_scales_trace)
+            << nn::to_string(mode) << " " << nn::to_string(path) << " "
+            << shape.size() << "-d input";
+      }
+    }
+  }
+  for (const ZooEntry& e : zoo()) {
+    for (KernelMode mode : kModes) {
+      for (ExecutionPath path : kPaths) {
+        const AnalysisReport report = PlanAnalyzer().analyze(
+            e.model, e.input_shape, mode, e.name, path);
+        for (const LayerFinding& f : report.findings) {
+          EXPECT_EQ(f.contract.shape_scales_trace, f.layer_name == "elman-rnn")
               << e.name << " layer #" << f.index << " " << f.layer_name
-              << ": " << f.mismatch_detail;
+              << " " << nn::to_string(mode) << " " << nn::to_string(path);
         }
       }
     }
@@ -145,7 +180,7 @@ TEST(SymbolicDerivation, DerivedFlagsMatchDynamicOracle) {
             report.findings[i].input_shape;
         const DerivedContract derived = derive_layer_contract(
             layer, shape, mode, ExecutionPath::kInstrumented);
-        ASSERT_TRUE(derived.modeled) << e.name << " layer #" << i;
+        ASSERT_TRUE(derived.contract.declared) << e.name << " layer #" << i;
         const TraceVariance observed =
             probe_layer(layer, default_probes(shape), mode);
         const std::string where = std::string(e.name) + " layer #" +
@@ -169,22 +204,29 @@ TEST(SymbolicDerivation, DerivedFlagsMatchDynamicOracle) {
 
 // ---------------------------------------------------------------------
 // Degenerate geometries: shapes where whole loop nests collapse must
-// still derive the declared contract (the claims are about what *can*
-// vary, and even a 1x1 convolution has a secret center tap).
+// still derive the contract of an ordinary geometry of the same kernel
+// (the claims are about what *can* vary, and even a 1x1 convolution has
+// a secret center tap).
 
 void expect_all_cells_match(const nn::Layer& layer,
                             const std::vector<std::size_t>& input_shape,
+                            const nn::Layer& ordinary,
+                            const std::vector<std::size_t>& ordinary_shape,
                             const char* what) {
   for (KernelMode mode : kModes) {
     for (ExecutionPath path : kPaths) {
       const LayerVerification v =
           verify_layer(layer, input_shape, mode, path);
-      EXPECT_TRUE(v.checked) << what;
-      EXPECT_TRUE(v.matches_declared)
+      const nn::LeakageContract expected =
+          derive_layer_contract(ordinary, ordinary_shape, mode, path).contract;
+      EXPECT_EQ(v.derived.contract, expected)
           << what << " (" << nn::to_string(mode) << ", "
-          << nn::to_string(path) << "): " << v.detail;
-      if (path == ExecutionPath::kFast)
-        EXPECT_TRUE(v.symbolically_verified) << what << ": " << v.detail;
+          << nn::to_string(path) << "): " << to_string(v.derived.contract)
+          << " vs " << to_string(expected);
+      if (path == ExecutionPath::kFast) {
+        EXPECT_TRUE(v.derived.contract.symbolically_verified)
+            << what << ": " << v.detail;
+      }
     }
   }
 }
@@ -193,25 +235,27 @@ TEST(SymbolicEdgeCases, PaddingOnlyConvRows) {
   // 1x1 input, 3x3 kernel, padding 2: most output pixels see *only*
   // padding (zero in-bounds taps), so entire gather loops vanish into
   // public control flow.  The one secret tap must still drive the
-  // derived claims to the declared ones.
+  // derived claims to those of an ordinary input.
   const nn::Conv2D conv(1, 1, 3, /*stride=*/1, /*padding=*/2);
-  expect_all_cells_match(conv, {1, 1, 1}, "conv2d 1x1 input, padding 2");
+  expect_all_cells_match(conv, {1, 1, 1}, conv, {1, 5, 5},
+                         "conv2d 1x1 input, padding 2");
 }
 
 TEST(SymbolicEdgeCases, OneByOneKernelConv) {
   const nn::Conv2D conv(2, 3, 1);
-  expect_all_cells_match(conv, {2, 4, 4}, "conv2d 1x1 kernel");
+  expect_all_cells_match(conv, {2, 4, 4}, nn::Conv2D(2, 3, 3), {2, 6, 6},
+                         "conv2d 1x1 kernel");
 }
 
 TEST(SymbolicEdgeCases, SingleUnitDense) {
   const nn::Dense dense(1, 1);
-  expect_all_cells_match(dense, {1}, "dense 1->1");
+  expect_all_cells_match(dense, {1}, nn::Dense(4, 3), {4}, "dense 1->1");
 
   // In the data-dependent mode even the 1x1 case keeps all four claims:
   // the single row-skip branch still guards real work.
   const DerivedContract derived = derive_layer_contract(
       dense, {1}, KernelMode::kDataDependent, ExecutionPath::kInstrumented);
-  ASSERT_TRUE(derived.modeled);
+  ASSERT_TRUE(derived.contract.declared);
   EXPECT_TRUE(derived.contract.branch_outcomes_vary);
   EXPECT_TRUE(derived.contract.branch_count_varies);
   EXPECT_TRUE(derived.contract.address_stream_varies);
@@ -222,21 +266,21 @@ TEST(SymbolicEdgeCases, ConstantFlowKernelsDeriveConstant) {
   const nn::Dense dense(3, 2);
   const DerivedContract derived = derive_layer_contract(
       dense, {3}, KernelMode::kConstantFlow, ExecutionPath::kInstrumented);
-  ASSERT_TRUE(derived.modeled);
+  ASSERT_TRUE(derived.contract.declared);
   EXPECT_FALSE(derived.contract.input_dependent());
   EXPECT_TRUE(derived.witnesses.empty());
   EXPECT_EQ(derived.contract.taint, nn::TaintTransfer::kPropagate);
 }
 
 TEST(SymbolicEdgeCases, DropoutDerivesNoInferenceRng) {
-  // Dropout's declared contract promises identity at inference time; the
-  // derived one proves the deployed kernel draws no randomness.
+  // Dropout is identity at inference time: the derived contract proves
+  // the deployed kernel draws no randomness.
   const nn::Dropout dropout(0.5f);
   for (KernelMode mode : kModes) {
     for (ExecutionPath path : kPaths) {
       const DerivedContract derived =
           derive_layer_contract(dropout, {8}, mode, path);
-      ASSERT_TRUE(derived.modeled);
+      ASSERT_TRUE(derived.contract.declared);
       EXPECT_FALSE(derived.contract.consumes_rng);
       EXPECT_FALSE(derived.contract.input_dependent());
       EXPECT_EQ(derived.contract.taint, nn::TaintTransfer::kPropagate);
@@ -247,101 +291,9 @@ TEST(SymbolicEdgeCases, DropoutDerivesNoInferenceRng) {
 // ---------------------------------------------------------------------
 // Custom layers exercising the abstract domain directly.
 
-/// Constant-output layer with a symbolic model: unconditional assigns of
-/// public values are strong updates, so the output buffer ends fully
-/// public and the engine derives TaintTransfer::kSanitize.
-class ModeledSanitizer final : public nn::Layer {
- public:
-  std::string name() const override { return "modeled-sanitizer"; }
-
-  using nn::Layer::forward_into;
-  void forward_into(const nn::Tensor& input, nn::Tensor& output,
-                    nn::Workspace& /*workspace*/, uarch::TraceSink& /*sink*/,
-                    KernelMode /*mode*/, ExecutionPath /*path*/) const override {
-    if (!output.same_shape(input)) output.resize(input.shape());
-    std::fill(output.data(), output.data() + output.numel(), 0.5f);
-  }
-
-  using nn::Layer::leakage_contract;
-  nn::LeakageContract leakage_contract(KernelMode /*mode*/) const override {
-    nn::LeakageContract c;
-    c.taint = nn::TaintTransfer::kSanitize;
-    return c;
-  }
-  nn::LeakageContract fast_leakage_contract(KernelMode mode) const override {
-    return leakage_contract(mode);
-  }
-
-  void symbolic_forward(nn::kernels::SymbolicExecutor& exec,
-                        const std::vector<std::size_t>& input_shape,
-                        KernelMode /*mode*/,
-                        ExecutionPath /*path*/) const override {
-    std::size_t n = 1;
-    for (std::size_t d : input_shape) n *= d;
-    (void)exec.input_buffer();
-    const nn::kernels::SymBuffer out = exec.output_buffer(n);
-    for (std::size_t i = 0; i < n; ++i)
-      exec.assign(out, i, nn::kernels::SymValue{});  // public constant
-  }
-
-  nn::Tensor train_forward(const nn::Tensor& input) override { return input; }
-  nn::Tensor backward(const nn::Tensor& grad) override { return grad; }
-  std::vector<std::size_t> output_shape(
-      const std::vector<std::size_t>& in) const override {
-    return in;
-  }
-};
-
-/// Identity layer whose kernel draws masking randomness: the model calls
-/// rng_draw, so the engine must derive consumes_rng with an "rng"
-/// witness — and the declaration honestly says so.
-class RngMaskLayer final : public nn::Layer {
- public:
-  std::string name() const override { return "rng-mask"; }
-
-  using nn::Layer::forward_into;
-  void forward_into(const nn::Tensor& input, nn::Tensor& output,
-                    nn::Workspace& /*workspace*/, uarch::TraceSink& /*sink*/,
-                    KernelMode /*mode*/, ExecutionPath /*path*/) const override {
-    if (!output.same_shape(input)) output.resize(input.shape());
-    std::copy(input.data(), input.data() + input.numel(), output.data());
-  }
-
-  using nn::Layer::leakage_contract;
-  nn::LeakageContract leakage_contract(KernelMode /*mode*/) const override {
-    nn::LeakageContract c;
-    c.consumes_rng = true;
-    return c;
-  }
-  nn::LeakageContract fast_leakage_contract(KernelMode mode) const override {
-    return leakage_contract(mode);
-  }
-
-  void symbolic_forward(nn::kernels::SymbolicExecutor& exec,
-                        const std::vector<std::size_t>& input_shape,
-                        KernelMode /*mode*/,
-                        ExecutionPath /*path*/) const override {
-    std::size_t n = 1;
-    for (std::size_t d : input_shape) n *= d;
-    const nn::kernels::SymBuffer in = exec.input_buffer();
-    const nn::kernels::SymBuffer out = exec.output_buffer(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const nn::kernels::SymValue mask =
-          exec.rng_draw(SCE_SYM_SITE("mask draw"));
-      exec.assign(out, i, join(exec.value(in, i), mask));
-    }
-  }
-
-  nn::Tensor train_forward(const nn::Tensor& input) override { return input; }
-  nn::Tensor backward(const nn::Tensor& grad) override { return grad; }
-  std::vector<std::size_t> output_shape(
-      const std::vector<std::size_t>& in) const override {
-    return in;
-  }
-};
-
-/// Identity layer wrapping the real ReLU symbolic model but *declaring*
-/// constant flow: the classic lying declaration, caught statically.
+/// Identity layer whose kernel is a traceless copy but whose symbolic
+/// model is ReLU's: the model over-claims a sign branch the kernel never
+/// takes, which the trace oracle catches.
 class LyingReluLayer final : public nn::Layer {
  public:
   std::string name() const override { return "lying-relu"; }
@@ -354,20 +306,11 @@ class LyingReluLayer final : public nn::Layer {
     std::copy(input.data(), input.data() + input.numel(), output.data());
   }
 
-  using nn::Layer::leakage_contract;
-  nn::LeakageContract leakage_contract(KernelMode /*mode*/) const override {
-    return nn::LeakageContract::constant();  // the lie
-  }
-  nn::LeakageContract fast_leakage_contract(KernelMode /*mode*/) const override {
-    return nn::LeakageContract::constant();
-  }
-
   void symbolic_forward(nn::kernels::SymbolicExecutor& exec,
                         const std::vector<std::size_t>& input_shape,
                         KernelMode mode, ExecutionPath path) const override {
-    std::size_t n = 1;
-    for (std::size_t d : input_shape) n *= d;
-    nn::kernels::relu_symbolic(n, exec, mode, path);
+    nn::kernels::relu_symbolic(testing::numel_of(input_shape), exec, mode,
+                               path);
   }
 
   nn::Tensor train_forward(const nn::Tensor& input) override { return input; }
@@ -379,119 +322,121 @@ class LyingReluLayer final : public nn::Layer {
 };
 
 TEST(SymbolicDomain, UnconditionalPublicStoresDeriveSanitize) {
-  const ModeledSanitizer sanitizer;
+  const SanitizingLayer sanitizer;
   const DerivedContract derived = derive_layer_contract(
       sanitizer, {8}, KernelMode::kDataDependent,
       ExecutionPath::kInstrumented);
-  ASSERT_TRUE(derived.modeled);
+  ASSERT_TRUE(derived.contract.declared);
   EXPECT_EQ(derived.contract.taint, nn::TaintTransfer::kSanitize);
   EXPECT_FALSE(derived.contract.input_dependent());
 
-  const LayerVerification v = verify_layer(
-      sanitizer, {8}, KernelMode::kDataDependent,
-      ExecutionPath::kInstrumented);
-  EXPECT_TRUE(v.checked);
-  EXPECT_TRUE(v.matches_declared) << v.detail;
-
   // And the analyzer actually *uses* the derived sanitize: downstream
-  // taint is cleared by the verified model, not by blind trust.
+  // taint is cleared by the model, so a leaky kernel after it is not
+  // exploitable.
   nn::Sequential model;
-  model.add(std::make_unique<ModeledSanitizer>());
+  model.add(std::make_unique<SanitizingLayer>());
   model.add(std::make_unique<nn::ReLU>());
   const AnalysisReport report = PlanAnalyzer().analyze(
       model, {8}, KernelMode::kDataDependent, "sanitized");
   EXPECT_EQ(report.verdict, Verdict::kConstantFlow);
   EXPECT_EQ(report.findings[1].input_taint, Taint::kClean);
+  EXPECT_EQ(report.findings[1].kernel_verdict, Verdict::kLeaksControlFlow);
+  EXPECT_FALSE(report.findings[1].exploitable);
 }
 
 TEST(SymbolicDomain, RngDrawDerivesConsumesRngWithWitness) {
   const RngMaskLayer layer;
   const DerivedContract derived = derive_layer_contract(
       layer, {4}, KernelMode::kDataDependent, ExecutionPath::kInstrumented);
-  ASSERT_TRUE(derived.modeled);
+  ASSERT_TRUE(derived.contract.declared);
   EXPECT_TRUE(derived.contract.consumes_rng);
+  EXPECT_FALSE(derived.contract.input_dependent());
   EXPECT_EQ(derived.contract.taint, nn::TaintTransfer::kPropagate);
   const auto rng_witness =
       std::find_if(derived.witnesses.begin(), derived.witnesses.end(),
                    [](const Witness& w) { return w.aspect == "rng"; });
   ASSERT_NE(rng_witness, derived.witnesses.end());
   EXPECT_EQ(rng_witness->label, "mask draw");
-
-  const LayerVerification v = verify_layer(
-      layer, {4}, KernelMode::kDataDependent, ExecutionPath::kInstrumented);
-  EXPECT_TRUE(v.matches_declared) << v.detail;
 }
 
-TEST(SymbolicDomain, LyingDeclarationFailsStaticallyWithoutExecution) {
-  const LyingReluLayer liar;
-  const LayerVerification v = verify_layer(
-      liar, {8}, KernelMode::kDataDependent, ExecutionPath::kInstrumented);
-  EXPECT_TRUE(v.checked);
-  EXPECT_FALSE(v.matches_declared);
-  EXPECT_NE(v.detail.find("branch_outcomes_vary"), std::string::npos)
-      << v.detail;
-
-  // The default lint gate catches it with no oracle run and no kernel
-  // execution at all.
-  nn::Sequential model;
-  model.add(std::make_unique<LyingReluLayer>());
+TEST(SymbolicDomain, LyingModelIsCaughtByTheOracle) {
+  // Under-claim: the kernel branches on the sign of its input, but the
+  // model reports that branch on a public predicate.  The static
+  // analysis can only trust the model, so the default lint passes; the
+  // trace oracle observes the variance the derived contract denies.
+  nn::Sequential quiet_liar;
+  quiet_liar.add(std::make_unique<LeakyProbeLayer>(/*lie_constant=*/true));
   LintOptions options;
   options.model_name = "liar";
-  const LintReport report = lint(model, {8}, options);
-  EXPECT_FALSE(report.passed);
-  EXPECT_NE(report.failure.find("mismatch"), std::string::npos)
-      << report.failure;
-  EXPECT_FALSE(report.cross_checked);
-  ASSERT_EQ(report.analysis.findings.size(), 1u);
-  EXPECT_EQ(report.analysis.mismatched_contracts, 1u);
-  EXPECT_EQ(report.analysis.findings[0].severity, Severity::kError);
-  // The *derived* truth drives the verdict: the lie cannot launder the
-  // layer into constant-flow.
-  EXPECT_TRUE(report.analysis.findings[0].exploitable);
-  EXPECT_EQ(report.analysis.verdict, Verdict::kLeaksControlFlow);
+  options.fail_on = Verdict::kLeaksControlFlow;
+  const LintReport unchecked = lint(quiet_liar, {8}, options);
+  EXPECT_TRUE(unchecked.passed) << unchecked.failure;
+  EXPECT_EQ(unchecked.analysis.verdict, Verdict::kConstantFlow);
+
+  options.cross_check = true;
+  const LintReport caught = lint(quiet_liar, {8}, options);
+  EXPECT_TRUE(caught.cross_checked);
+  EXPECT_FALSE(caught.passed);
+  ASSERT_EQ(caught.mismatches.size(), 1u);
+  EXPECT_NE(caught.mismatches[0].detail.find(
+                "branch outcomes: derived invariant, trace oracle observed "
+                "varying"),
+            std::string::npos)
+      << caught.mismatches[0].detail;
+
+  // Over-claim: a traceless kernel whose model is ReLU's.  The derived
+  // contract drives the verdict, and the oracle reports the other
+  // direction of the disagreement.
+  nn::Sequential loud_liar;
+  loud_liar.add(std::make_unique<LyingReluLayer>());
+  options.fail_on.reset();
+  const LintReport over = lint(loud_liar, {8}, options);
+  EXPECT_TRUE(over.analysis.findings[0].exploitable);
+  EXPECT_EQ(over.analysis.verdict, Verdict::kLeaksControlFlow);
+  EXPECT_FALSE(over.passed);
+  ASSERT_EQ(over.mismatches.size(), 1u);
+  EXPECT_NE(over.mismatches[0].detail.find(
+                "branch outcomes: derived varying, trace oracle observed "
+                "invariant"),
+            std::string::npos)
+      << over.mismatches[0].detail;
 }
 
-TEST(SymbolicDomain, UnmodeledLayerFallsBackToDeclaration) {
-  // A custom layer with no symbolic model is reported underived and its
-  // declaration is used unchecked — exactly the pre-symexec behaviour.
-  class PlainLayer final : public nn::Layer {
-   public:
-    std::string name() const override { return "plain"; }
-    using nn::Layer::forward_into;
-    void forward_into(const nn::Tensor& input, nn::Tensor& output,
-                      nn::Workspace&, uarch::TraceSink&, KernelMode,
-                      ExecutionPath) const override {
-      if (!output.same_shape(input)) output.resize(input.shape());
-      std::copy(input.data(), input.data() + input.numel(), output.data());
-    }
-    using nn::Layer::leakage_contract;
-    nn::LeakageContract leakage_contract(KernelMode) const override {
-      return nn::LeakageContract::constant();
-    }
-    nn::Tensor train_forward(const nn::Tensor& input) override {
-      return input;
-    }
-    nn::Tensor backward(const nn::Tensor& grad) override { return grad; }
-    std::vector<std::size_t> output_shape(
-        const std::vector<std::size_t>& in) const override {
-      return in;
-    }
-  };
-
-  const PlainLayer plain;
+TEST(SymbolicDomain, UnmodeledLayerIsWorstCase) {
+  // A custom layer with no symbolic model gets the worst-case contract
+  // on either path: it is tallied, trips fail_on_undeclared, and on the
+  // fast path nothing can vouch for it.
+  const UndeclaredLayer plain;
   const LayerVerification v = verify_layer(
-      plain, {4}, KernelMode::kDataDependent, ExecutionPath::kInstrumented);
-  EXPECT_FALSE(v.checked);
+      plain, {4}, KernelMode::kConstantFlow, ExecutionPath::kFast);
+  EXPECT_FALSE(v.derived.contract.declared);
+  EXPECT_FALSE(v.derived.contract.symbolically_verified);
   EXPECT_FALSE(v.detail.empty());
 
   nn::Sequential model;
-  model.add(std::make_unique<PlainLayer>());
-  const AnalysisReport report = PlanAnalyzer().analyze(
-      model, {4}, KernelMode::kDataDependent, "plain");
-  EXPECT_EQ(report.underived_layers, 1u);
-  EXPECT_EQ(report.mismatched_contracts, 0u);
-  EXPECT_FALSE(report.findings[0].derived_available);
-  EXPECT_EQ(report.verdict, Verdict::kConstantFlow);
+  model.add(std::make_unique<UndeclaredLayer>());
+  LintOptions options;
+  options.model_name = "plain";
+  options.mode = KernelMode::kConstantFlow;
+  options.path = ExecutionPath::kFast;
+  const LintReport lenient = lint(model, {4}, options);
+  EXPECT_TRUE(lenient.passed) << lenient.failure;
+  EXPECT_EQ(lenient.analysis.undeclared_layers, 1u);
+  EXPECT_EQ(lenient.analysis.unverified_layers, 1u);
+  EXPECT_EQ(lenient.analysis.verdict, Verdict::kLeaksAddresses);
+  EXPECT_EQ(lenient.analysis.findings[0].contract,
+            [] {
+              nn::LeakageContract c = nn::LeakageContract::undeclared();
+              c.path = ExecutionPath::kFast;
+              return c;
+            }());
+
+  options.fail_on_undeclared = true;
+  const LintReport strict = lint(model, {4}, options);
+  EXPECT_FALSE(strict.passed);
+  EXPECT_NE(strict.failure.find("without a symbolic model"),
+            std::string::npos)
+      << strict.failure;
 }
 
 // ---------------------------------------------------------------------
@@ -535,7 +480,7 @@ TEST(SymbolicWitnesses, DenseWitnessesNameModelSites) {
         derive_layer_contract(*c.layer, c.input_shape,
                               KernelMode::kDataDependent,
                               ExecutionPath::kInstrumented);
-    ASSERT_TRUE(derived.modeled);
+    ASSERT_TRUE(derived.contract.declared);
 
     std::vector<std::string> aspects;
     for (const Witness& w : derived.witnesses) {
@@ -556,18 +501,6 @@ TEST(SymbolicWitnesses, DenseWitnessesNameModelSites) {
 // ---------------------------------------------------------------------
 // The refinement chain: fast claims anchored to instrumented ones.
 
-TEST(SymbolicRefinement, ClaimsEqualIgnoresMetadata) {
-  nn::LeakageContract a;
-  a.branch_outcomes_vary = true;
-  nn::LeakageContract b = a;
-  b.path = ExecutionPath::kFast;
-  b.shape_scales_trace = true;  // informational, excluded
-  b.symbolically_verified = true;
-  EXPECT_TRUE(claims_equal(a, b));
-  b.consumes_rng = true;
-  EXPECT_FALSE(claims_equal(a, b));
-}
-
 TEST(SymbolicRefinement, RefinesIsPointwiseImplication) {
   nn::LeakageContract quiet;                   // leaks nothing
   nn::LeakageContract loud = quiet;
@@ -583,15 +516,15 @@ TEST(SymbolicRefinement, FastDenseIsAnchoredToInstrumented) {
   for (KernelMode mode : kModes) {
     const LayerVerification v =
         verify_layer(dense, {4}, mode, ExecutionPath::kFast);
-    EXPECT_TRUE(v.checked);
-    EXPECT_TRUE(v.matches_declared) << v.detail;
-    EXPECT_TRUE(v.symbolically_verified) << v.detail;
+    EXPECT_TRUE(v.derived.contract.declared);
+    EXPECT_TRUE(v.derived.contract.symbolically_verified) << v.detail;
+    EXPECT_TRUE(v.detail.empty()) << v.detail;
   }
   // The instrumented path never claims symbolic verification — there
   // the oracle itself is the authority.
   const LayerVerification inst = verify_layer(
       dense, {4}, KernelMode::kDataDependent, ExecutionPath::kInstrumented);
-  EXPECT_FALSE(inst.symbolically_verified);
+  EXPECT_FALSE(inst.derived.contract.symbolically_verified);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "analysis/symexec/engine.hpp"
 #include "nn/activation.hpp"
 #include "nn/avgpool.hpp"
 #include "nn/conv.hpp"
@@ -261,29 +262,32 @@ TEST(KernelPath, ObservingSinkForcesInstrumentedKernels) {
 }
 
 TEST(KernelPath, ContractsStampPathAndVerifiability) {
+  const auto derive = [](const Layer& layer,
+                         const std::vector<std::size_t>& shape,
+                         ExecutionPath path) {
+    return analysis::symexec::derive_layer_contract(
+               layer, shape, KernelMode::kDataDependent, path)
+        .contract;
+  };
   Dense dense(4, 4);
-  const LeakageContract instrumented = dense.leakage_contract(
-      KernelMode::kDataDependent, ExecutionPath::kInstrumented);
+  const LeakageContract instrumented =
+      derive(dense, {4}, ExecutionPath::kInstrumented);
   EXPECT_EQ(instrumented.path, ExecutionPath::kInstrumented);
   EXPECT_TRUE(instrumented.oracle_verifiable());
 
-  const LeakageContract fast =
-      dense.leakage_contract(KernelMode::kDataDependent, ExecutionPath::kFast);
+  const LeakageContract fast = derive(dense, {4}, ExecutionPath::kFast);
   EXPECT_EQ(fast.path, ExecutionPath::kFast);
   EXPECT_FALSE(fast.oracle_verifiable());
   EXPECT_NE(to_string(fast).find("fast path"), std::string::npos);
 
   // Dense's fast kernel keeps the real row-skip branch, so its fast
-  // contract still claims input-dependent behaviour; conv's lane-blend
+  // contract still derives input-dependent behaviour; conv's lane-blend
   // zero skip is branchless, so its fast contract is constant-flow.
   EXPECT_TRUE(fast.input_dependent());
   Conv2D conv(1, 1, 3);
-  EXPECT_FALSE(conv.leakage_contract(KernelMode::kDataDependent,
-                                     ExecutionPath::kFast)
-                   .input_dependent());
-  EXPECT_TRUE(conv.leakage_contract(KernelMode::kDataDependent,
-                                    ExecutionPath::kInstrumented)
-                  .input_dependent());
+  EXPECT_FALSE(derive(conv, {1, 5, 5}, ExecutionPath::kFast).input_dependent());
+  EXPECT_TRUE(
+      derive(conv, {1, 5, 5}, ExecutionPath::kInstrumented).input_dependent());
 }
 
 TEST(KernelPath, RegistryCoversEveryOpModePathCell) {

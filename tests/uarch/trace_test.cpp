@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/kernels/domain.hpp"
 #include "util/error.hpp"
 
 namespace sce::uarch {
@@ -90,12 +91,16 @@ TEST(TeeSink, NullSinkRejected) {
   EXPECT_THROW(TeeSink({&a, nullptr}), InvalidArgument);
 }
 
+constexpr nn::kernels::KernelSite kSiteA = SCE_KERNEL_SITE("site a");
+constexpr nn::kernels::KernelSite kSiteB = SCE_KERNEL_SITE("site b");
+
 TEST(BranchSite, StableWithinSiteDistinctAcrossSites) {
-  auto site_a = []() { return SCE_BRANCH_SITE(); };
-  auto site_b = []() { return SCE_BRANCH_SITE(); };
-  EXPECT_EQ(site_a(), site_a());
-  EXPECT_EQ(site_b(), site_b());
-  EXPECT_NE(site_a(), site_b());
+  const auto pc_of = [](const nn::kernels::KernelSite& site) {
+    return site.pc();
+  };
+  EXPECT_EQ(pc_of(kSiteA), kSiteA.pc());
+  EXPECT_EQ(pc_of(kSiteB), kSiteB.pc());
+  EXPECT_NE(kSiteA.pc(), kSiteB.pc());
 }
 
 }  // namespace

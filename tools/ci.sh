@@ -50,25 +50,28 @@ if "$BUILD_DIR/tools/leakage_lint" --model mnist --mode data-dependent \
 fi
 echo "==> lint gate rejects the data-dependent model (expected)"
 
-echo "==> lint: derived-vs-declared contracts (zoo x modes x paths)"
-# The symbolic verifier derives every layer's LeakageContract from the
-# kernel code and compares it with the declaration; --fail-on-unverified
-# additionally requires every contract to be backed by an authority
-# (trace oracle on the instrumented path, refinement chain on the fast
-# path).  Any mismatch, underived zoo layer or oracle-unverified fast
-# contract exits non-zero.  The SARIF report from the deployment
-# configuration (fast path) is the CI artifact.
+echo "==> lint: derived contracts agree with the trace oracle (zoo x modes x paths)"
+# The symbolic engine derives every layer's LeakageContract from its
+# kernel code; --cross-check replays the instrumented kernels on probe
+# inputs and requires the trace oracle to observe exactly the derived
+# variance.  --fail-on-unverified additionally requires every contract to
+# be backed by an authority (the oracle on the instrumented path,
+# refinement to the instrumented contract on the fast path).  Any oracle
+# disagreement, unmodeled zoo layer or unverified fast contract exits
+# non-zero.  The SARIF report from the deployment configuration (fast
+# path) is the CI artifact.
 for sce_model in mnist cifar sequence; do
   for sce_mode in data-dependent constant-flow; do
     for sce_path in instrumented fast; do
       "$BUILD_DIR/tools/leakage_lint" --model "$sce_model" \
-        --mode "$sce_mode" --path "$sce_path" --fail-on-unverified --quiet
+        --mode "$sce_mode" --path "$sce_path" --fail-on-unverified \
+        --cross-check --quiet
     done
   done
 done
 "$BUILD_DIR/tools/leakage_lint" --model mnist --mode data-dependent \
   --path fast --fail-on-unverified --quiet --sarif lint_findings.sarif
-echo "==> derived contracts match declarations (12/12 cells verified)"
+echo "==> derived contracts agree with the trace oracle (12/12 cells verified)"
 
 echo "==> running tier-1 suite"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"

@@ -4,7 +4,7 @@
 // report and maps the LintReport onto exit codes.
 //
 // Exit codes: 0 clean, 1 lint gate failed (--fail-on threshold reached,
-// undeclared contract with --fail-on-undeclared, or --cross-check
+// layer without a symbolic model with --fail-on-undeclared, or --cross-check
 // disagreement), 2 usage error.
 #include <cstdio>
 #include <fstream>
@@ -86,12 +86,13 @@ int main(int argc, char** argv) {
                  "kernel witness locations) to this path",
                  "");
   cli.add_flag("fail-on-undeclared",
-               "also fail when any layer lacks a leakage contract");
+               "also fail when any layer has no symbolic kernel model to "
+               "derive its leakage contract from");
   cli.add_flag("fail-on-unverified",
                "also fail when any contract is neither oracle-verifiable "
                "nor symbolically verified");
   cli.add_flag("cross-check",
-               "validate declared contracts against the uarch trace oracle");
+               "validate derived contracts against the uarch trace oracle");
   cli.add_flag("list-kernels",
                "print the kernel registry (op x mode x path) and exit");
   cli.add_flag("quiet", "suppress the text report");
